@@ -33,6 +33,7 @@ from repro.nn.quantize import (
     fake_quantize,
 )
 from repro.nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
+from repro.nn.plan import EvalPlan, compile_eval
 from repro.nn.tensor import Tensor, concat
 from repro.nn.train import TrainHistory, evaluate, fit, predict, train_epoch
 
@@ -71,6 +72,8 @@ __all__ = [
     "train_epoch",
     "evaluate",
     "predict",
+    "EvalPlan",
+    "compile_eval",
     "fake_quantize",
     "activation_quantization",
     "evaluate_quantized",

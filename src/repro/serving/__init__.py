@@ -125,6 +125,7 @@ from repro.serving.engine import (
     InferenceEngine,
     ServingError,
 )
+from repro.serving.execute import BatchRun, SkeletonPlan, execute_batch
 from repro.serving.arena import (
     ArenaError,
     ArenaManifest,
@@ -221,6 +222,9 @@ __all__ = [
     "InferenceEngine",
     "AsyncInferenceEngine",
     "ServingError",
+    "SkeletonPlan",
+    "BatchRun",
+    "execute_batch",
     "SharedPayloadArena",
     "ArenaPayloadMap",
     "ArenaManifest",

@@ -3,13 +3,14 @@
 :class:`InferenceEngine` owns one architecture skeleton (an
 ``nn.Module`` with the right shapes), one
 :class:`~repro.serving.registry.CompressedModelHandle`, and one
-:class:`~repro.serving.rebuild.RebuildEngine`.  Before every forward
-pass it *installs* each compressed layer's weight from the rebuild
-cache — so the dense model only ever exists layer-by-layer, bounded by
-the cache capacity, while the full network state lives in the small
-{B, Ce, index} payloads.
+:class:`~repro.serving.rebuild.RebuildEngine`.  Every batch fetches
+each compressed layer's dense weight from the rebuild cache and binds
+it by reference into the skeleton's eval plan — so the dense model only
+ever exists layer-by-layer, bounded by the cache capacity, while the
+full network state lives in the small {B, Ce, index} payloads.
 
-Three serving paths share the same execution core:
+Three serving paths share one execution core,
+:func:`~repro.serving.execute.execute_batch`:
 
 - **offline** — :meth:`predict` / :meth:`predict_many` run (coalesced)
   batches synchronously; this is what the benchmarks drive.
@@ -17,9 +18,9 @@ Three serving paths share the same execution core:
   drain one shared :class:`~repro.serving.batching.RequestQueue`;
   :meth:`submit` returns a ticket that resolves to that sample's
   output row.  Each worker owns its *own* skeleton (cloned from the
-  engine's), so weight installation and forward passes never contend
-  across workers; all workers share the engine's (internally locked)
-  rebuild cache.
+  engine's) and eval plan, so forward passes never contend across
+  workers; all workers share the engine's (internally locked) rebuild
+  cache.
 - **async** — :meth:`submit_async` (or the
   :class:`AsyncInferenceEngine` wrapper) bridges tickets into asyncio
   futures for event-loop callers.
@@ -55,50 +56,18 @@ from repro.serving.batching import (
     per_ticket_error,
     stack_batch,
 )
+from repro.serving.execute import ServingError, SkeletonPlan, execute_batch
 from repro.serving.rebuild import AdmissionPolicy, RebuildEngine
 from repro.serving.registry import CompressedModelHandle
 from repro.serving.stats import ServingStats
 
 
-class ServingError(Exception):
-    """Engine-level configuration or execution failure."""
-
-
-def _map_modules(
-    model: nn.Module, handle: CompressedModelHandle
-) -> Dict[str, nn.Module]:
-    """Resolve each bundle layer to its module in ``model`` (validated)."""
-    modules = dict(model.named_modules())
-    mapped: Dict[str, nn.Module] = {}
-    for name, spec in handle.layer_specs.items():
-        module = modules.get(name)
-        if module is None:
-            raise ServingError(
-                f"model has no module {name!r} for bundle {handle.key}"
-            )
-        weight = getattr(module, "weight", None)
-        if weight is None or tuple(weight.data.shape) != spec.weight_shape:
-            raise ServingError(
-                f"module {name!r} weight shape "
-                f"{None if weight is None else weight.data.shape} does "
-                f"not match bundle layer shape {spec.weight_shape}"
-            )
-        mapped[name] = module
-    return mapped
-
-
 class _Worker:
     """One pool member: a thread plus its privately-owned skeleton."""
 
-    def __init__(
-        self,
-        index: int,
-        model: nn.Module,
-        modules: Dict[str, nn.Module],
-    ) -> None:
+    def __init__(self, index: int, skeleton: SkeletonPlan) -> None:
         self.index = index
-        self.model = model
-        self.modules = modules
+        self.skeleton = skeleton
         self.thread: Optional[threading.Thread] = None
 
 
@@ -164,13 +133,13 @@ class InferenceEngine:
         bind = getattr(self.policy, "bind_costs", None)
         if bind is not None:
             bind(self.rebuild)
-        self._modules = _map_modules(model, handle)
+        self._skeleton = SkeletonPlan(model, handle.layer_specs)
         if handle.residual is not None:
             model.load_state_dict(handle.residual, strict=False)
         model.eval()
-        # Serializes install-weights + forward on the engine's own
-        # skeleton, which the offline path uses directly.  Pool workers
-        # never take it: each owns a private clone of the skeleton.
+        # Serializes batches on the engine's own skeleton and plan,
+        # which the offline path uses directly.  Pool workers never
+        # take it: each owns a private clone of the skeleton.
         self._forward_lock = threading.Lock()
         # Serializes start()/stop() transitions (worker bookkeeping).
         self._lifecycle_lock = threading.Lock()
@@ -184,14 +153,6 @@ class InferenceEngine:
         self._process_pool = None
         self._arena = None
         self._owns_arena = False
-
-    # ------------------------------------------------------------------
-    # Weight installation
-    # ------------------------------------------------------------------
-    def _install_weights(self, modules: Dict[str, nn.Module]) -> None:
-        """Pull every compressed layer through the shared rebuild cache."""
-        for name, module in modules.items():
-            module.weight.data[...] = self.rebuild.layer_weight(name)
 
     # ------------------------------------------------------------------
     # Offline path
@@ -208,30 +169,22 @@ class InferenceEngine:
         """
         batch = np.asarray(batch)
         obs = self.observability
+        spans = {}
+        if obs.enabled:
+            spans = {
+                "tracer": obs.tracer,
+                "parent": trace.root if trace is not None else None,
+                "tags": {"engine": self.handle.key, "path": "offline"},
+            }
         start = time.perf_counter()
         with self._forward_lock:
-            if obs.enabled:
-                parent = trace.root if trace is not None else None
-                tags = {"engine": self.handle.key, "path": "offline"}
-                span = obs.tracer.start_span("rebuild", parent=parent, tags=tags)
-                with obs.tracer.activate(span):
-                    self._install_weights(self._modules)
-                obs.tracer.finish_span(span)
-                span = obs.tracer.start_span("compute", parent=parent, tags=tags)
-                output = self.model(batch)
-                result = output.data if isinstance(output, nn.Tensor) else output
-                obs.tracer.finish_span(span, batch_size=len(batch))
-            else:
-                self._install_weights(self._modules)
-                output = self.model(batch)
-                result = output.data if isinstance(output, nn.Tensor) else output
+            run = execute_batch(self._skeleton, self.rebuild, batch, **spans)
         latency = time.perf_counter() - start
         self.stats.record_batch(len(batch), latency, policy=self.policy.name)
-        for _ in range(len(batch)):
-            self.stats.record_request(latency)
+        self.stats.record_requests([latency] * len(batch))
         if trace is not None and obs.enabled:
             obs.finish_request(trace)
-        return np.asarray(result)
+        return run.rows
 
     def predict_many(
         self, inputs: Sequence[np.ndarray], batched: bool = True
@@ -335,12 +288,13 @@ class InferenceEngine:
                 self._start_process_pool(queue, workers, arena)
                 return self
             self._backend = "thread"
-            pool: List[_Worker] = []
-            for index in range(workers):
-                skeleton = self.model.clone()
-                pool.append(
-                    _Worker(index, skeleton, _map_modules(skeleton, self.handle))
+            pool = [
+                _Worker(
+                    index,
+                    SkeletonPlan(self.model.clone(), self.handle.layer_specs),
                 )
+                for index in range(workers)
+            ]
             for worker in pool:
                 worker.thread = threading.Thread(
                     target=self._serve_loop,
@@ -554,7 +508,6 @@ class InferenceEngine:
         )
         batch_id = next(self._batch_ids)
         dequeued = time.perf_counter()
-        rebuild_span = compute_span = None
         if traced:
             # enqueue → dequeue wait, one span per request, against the
             # policy's (re-evaluated) wait budget for this batch size.
@@ -591,42 +544,25 @@ class InferenceEngine:
             if ledger is not None
             else contextlib.nullcontext()
         )
+        spans = {}
+        if traced:
+            spans = {
+                "tracer": obs.tracer,
+                "parent": primary.root,
+                "tags": phase_tags,
+            }
         start = time.perf_counter()
         try:
-            batch = stack_batch(requests)
-            if traced:
-                rebuild_span = obs.tracer.start_span(
-                    "rebuild", parent=primary.root, tags=phase_tags
-                )
-                # Activation nests the rebuild engine's per-layer
-                # ``rebuild.layer`` spans under this phase span.
-                with obs.tracer.activate(rebuild_span):
-                    with attribution:
-                        self._install_weights(worker.modules)
-                obs.tracer.finish_span(
-                    rebuild_span, layers=len(worker.modules)
-                )
-                compute_span = obs.tracer.start_span(
-                    "compute", parent=primary.root, tags=phase_tags
-                )
-                output = worker.model(batch)
-                result = (
-                    output.data if isinstance(output, nn.Tensor) else output
-                )
-                obs.tracer.finish_span(compute_span, batch_size=len(requests))
-            else:
-                with attribution:
-                    self._install_weights(worker.modules)
-                output = worker.model(batch)
-                result = (
-                    output.data if isinstance(output, nn.Tensor) else output
-                )
+            run = execute_batch(
+                worker.skeleton,
+                self.rebuild,
+                stack_batch(requests),
+                attribution=attribution,
+                **spans,
+            )
         except Exception as error:
             # A bad batch (e.g. malformed sample shape) fails its own
             # tickets; the worker keeps serving subsequent requests.
-            for span in (rebuild_span, compute_span):
-                if span is not None and not span.finished:
-                    obs.tracer.finish_span(span, error=type(error).__name__)
             for request in traced:
                 obs.finish_request(
                     request.trace, batch_id=batch_id,
@@ -638,16 +574,15 @@ class InferenceEngine:
                 for request in requests:
                     ledger.record_failed(request.tenant)
             return
-        finish = time.perf_counter()
+        finish = run.finished
         self.stats.record_batch(
             len(requests),
             finish - start,
             worker=worker.index,
             policy=self.policy.name,
         )
-        rows = np.asarray(result)
-        for request, row in zip(requests, rows):
-            self.stats.record_request(finish - request.enqueued_at)
+        self.stats.record_requests([finish - r.enqueued_at for r in requests])
+        for request, row in zip(requests, run.rows):
             if request.trace is not None and obs.enabled:
                 if request.trace is not primary:
                     # Batch peers share the primary's install/forward
@@ -655,7 +590,7 @@ class InferenceEngine:
                     # interval) so each trace tree is self-contained —
                     # tagged ``shared`` so breakdowns count the work
                     # once.
-                    for phase in (rebuild_span, compute_span):
+                    for phase in (run.rebuild_span, run.compute_span):
                         obs.tracer.emit(
                             phase.name,
                             start_s=phase.start_s,
@@ -672,7 +607,7 @@ class InferenceEngine:
                 )
             if ledger is not None:
                 ledger.record_served(request.tenant)
-            request.ticket.set_result(np.asarray(row))
+            request.ticket.set_result(row)
 
     @staticmethod
     def _fail_tickets(

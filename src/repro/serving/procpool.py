@@ -46,7 +46,6 @@ from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro import nn
 from repro.costs import CodecCostModel
 from repro.observability import MetricsRegistry
 from repro.serving.arena import SharedPayloadArena, ArenaManifest
@@ -56,6 +55,7 @@ from repro.serving.batching import (
     RequestQueue,
     stack_batch,
 )
+from repro.serving.execute import SkeletonPlan, execute_batch
 from repro.serving.rebuild import RebuildCacheStats, RebuildEngine
 
 #: Start method for worker processes.  ``fork`` makes spawning cheap
@@ -171,48 +171,11 @@ def _zero_totals() -> Dict[str, float]:
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-def _map_spec_modules(model, specs) -> Dict[str, Any]:
-    """Child-side twin of the engine's ``_map_modules`` (spec-keyed)."""
-    modules = dict(model.named_modules())
-    mapped: Dict[str, Any] = {}
-    for name, spec in specs.items():
-        module = modules.get(name)
-        if module is None:
-            raise ProcessWorkerError(f"worker model has no module {name!r}")
-        weight = getattr(module, "weight", None)
-        if weight is None or tuple(weight.data.shape) != tuple(
-            spec.weight_shape
-        ):
-            raise ProcessWorkerError(
-                f"worker module {name!r} weight shape does not match "
-                f"bundle layer shape {spec.weight_shape}"
-            )
-        mapped[name] = module
-    return mapped
-
-
 def _run_worker_batch(
-    envelope: BatchEnvelope,
-    rebuild: RebuildEngine,
-    model,
-    modules: Dict[str, Any],
+    envelope: BatchEnvelope, rebuild: RebuildEngine, skeleton: SkeletonPlan
 ) -> BatchResult:
-    start = time.perf_counter()
     try:
-        for name, module in modules.items():
-            module.weight.data[...] = rebuild.layer_weight(name)
-        installed = time.perf_counter()
-        output = model(envelope.batch)
-        rows = output.data if isinstance(output, nn.Tensor) else output
-        finished = time.perf_counter()
-        return BatchResult(
-            batch_id=envelope.batch_id,
-            rows=np.asarray(rows),
-            error=None,
-            install_seconds=installed - start,
-            forward_seconds=finished - installed,
-            rebuild_totals=_stats_totals(rebuild.stats),
-        )
+        run = execute_batch(skeleton, rebuild, envelope.batch)
     except Exception as error:
         # A bad batch fails its own tickets parent-side; this worker
         # keeps serving — same contract as a thread worker.
@@ -224,6 +187,14 @@ def _run_worker_batch(
             forward_seconds=0.0,
             rebuild_totals=_stats_totals(rebuild.stats),
         )
+    return BatchResult(
+        batch_id=envelope.batch_id,
+        rows=run.rows,
+        error=None,
+        install_seconds=run.installed - run.start,
+        forward_seconds=run.finished - run.installed,
+        rebuild_totals=_stats_totals(rebuild.stats),
+    )
 
 
 def _worker_main(spec: WorkerSpec, index: int, conn) -> None:
@@ -259,9 +230,8 @@ def _worker_main(spec: WorkerSpec, index: int, conn) -> None:
             tiers=spec.tiers,
             spill_dir=spill_dir,
         )
-        model = spec.model
-        model.eval()
-        modules = _map_spec_modules(model, spec.specs)
+        spec.model.eval()
+        skeleton = SkeletonPlan(spec.model, spec.specs)
         conn.send(
             WorkerHello(
                 index=index,
@@ -291,7 +261,7 @@ def _worker_main(spec: WorkerSpec, index: int, conn) -> None:
             if envelope is None:
                 break  # shutdown sentinel
             try:
-                conn.send(_run_worker_batch(envelope, rebuild, model, modules))
+                conn.send(_run_worker_batch(envelope, rebuild, skeleton))
             except (BrokenPipeError, OSError):
                 break
     except KeyboardInterrupt:  # pragma: no cover - interactive teardown
@@ -595,7 +565,7 @@ class ProcessPool:
             worker=slot.index,
             policy=engine.policy.name,
         )
-        rows = np.asarray(result.rows)
+        engine.stats.record_requests([finish - r.enqueued_at for r in requests])
         rebuild_end = sent + result.install_seconds
         compute_end = rebuild_end + result.forward_seconds
         traced = (
@@ -605,8 +575,7 @@ class ProcessPool:
         )
         primary = traced[0].trace if traced else None
         ledger = engine.ledger
-        for request, row in zip(requests, rows):
-            engine.stats.record_request(finish - request.enqueued_at)
+        for request, row in zip(requests, result.rows):
             if request.trace is not None and obs.enabled:
                 tags = {
                     "engine": engine.handle.key,
@@ -636,7 +605,7 @@ class ProcessPool:
                 )
             if ledger is not None:
                 ledger.record_served(request.tenant)
-            request.ticket.set_result(np.asarray(row))
+            request.ticket.set_result(row)
 
     def _await_hello(
         self,

@@ -769,7 +769,8 @@ class RebuildEngine:
         """The dense weight for ``name`` (cached or rebuilt).
 
         The returned array is the cache's copy and is marked read-only;
-        callers install it with ``module.weight.data[...] = w``.
+        serving binds it by reference into an eval plan
+        (:func:`~repro.serving.execute.execute_batch`).
 
         Safe for concurrent callers: hits return immediately, and only
         one thread rebuilds a cold layer at a time — the rest wait on

@@ -29,7 +29,7 @@ replaying the trace an engine just served reproduces that engine's
 per-tier hit counts exactly (single-worker traces, deterministic
 policies); the parity test pins this.
 
-Batch semantics: the live engine installs weights **once per executed
+Batch semantics: the live engine fetches weights **once per executed
 batch** (all of a batch's requests share one pass over the layers), and
 records each request with its ``batch_id``.  Replay therefore groups
 requests by ``(engine, batch_id)`` and performs one access pass per
@@ -241,8 +241,8 @@ class CacheSimulator:
             rows = [row for row in rows if row.model == model]
         ledger = self.ledger
         for batch in _group_batches(rows):
-            # One install pass per executed batch, spec order — exactly
-            # the live engine's `_install_weights` iteration.
+            # One fetch pass per executed batch, spec order — exactly
+            # the order `execute_batch` fetches layers in.
             if ledger is not None:
                 shares = ledger.shares([row.tenant for row in batch])
                 with ledger.activate(shares):

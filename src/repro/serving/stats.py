@@ -1,9 +1,9 @@
 """Serving telemetry: throughput, latency percentiles, and the realized
 storage-vs-compute trade.
 
-:class:`ServingStats` is fed by the engine (one ``record_batch`` per
-executed batch, one ``record_request`` per completed request) and folds
-in the rebuild-cache counters and bundle accounting on demand, so one
+:class:`ServingStats` is fed by the engine (one ``record_batch`` and
+one ``record_requests`` per executed batch) and folds in the
+rebuild-cache counters and bundle accounting on demand, so one
 ``summary()`` call answers: how fast are we serving, what did batching
 buy, how often did the rebuild cache hit, and how many dense bytes did
 the compressed form keep out of memory per request.
@@ -283,9 +283,15 @@ class ServingStats:
 
     def record_request(self, latency_s: float) -> None:
         """End-to-end latency of one request (queueing + execution)."""
+        self.record_requests((latency_s,))
+
+    def record_requests(self, latencies_s: Sequence[float]) -> None:
+        """End-to-end latencies of a batch's requests, recorded under
+        one lock acquisition and one histogram pass."""
+        latencies = [float(latency) for latency in latencies_s]
         with self._lock:
-            self.request_latencies_s.append(float(latency_s))
-            self._request_latency.observe(float(latency_s))
+            self.request_latencies_s.extend(latencies)
+            self._request_latency.observe_many(latencies)
 
     def record_failed(self, count: int = 1) -> None:
         """Requests whose batch raised instead of completing."""

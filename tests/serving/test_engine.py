@@ -161,3 +161,63 @@ class TestTelemetry:
         engine.stats.reset()
         assert engine.stats.request_count == 0
         assert engine.summary()["requests"] == 0
+
+
+def served_twice(engine, first, second):
+    """Serve two full batches back to back on one worker; returns the
+    first batch's rows as handed out, plus a copy taken before the
+    second batch ran."""
+    engine.start(workers=1)
+    try:
+        # Submitted together, each group rides one forward pass.
+        tickets = [engine.submit(s) for s in first]
+        rows = [ticket.result(timeout=30.0) for ticket in tickets]
+        kept = [row.copy() for row in rows]
+        tickets = [engine.submit(s) for s in second]
+        for ticket in tickets:
+            ticket.result(timeout=30.0)
+    finally:
+        engine.stop()
+    return rows, kept
+
+
+class TestEvalPlanServing:
+    def test_ticket_rows_survive_the_next_batch(self, engine, inputs):
+        """Rows handed to tickets are never views of a plan workspace."""
+        rows, kept = served_twice(engine, inputs[:4], inputs[4:8])
+        for row, copy in zip(rows, kept):
+            np.testing.assert_array_equal(row, copy)
+
+    def test_offline_output_survives_the_next_batch(self, engine, inputs):
+        first = engine.predict(np.stack(inputs[:4]))
+        kept = first.copy()
+        engine.predict(np.stack(inputs[4:8]))
+        np.testing.assert_array_equal(first, kept)
+
+    def test_skeleton_keeps_one_plan_across_shape_changes(self, published):
+        from repro.serving.execute import SkeletonPlan
+
+        store, manifest, *_ = published
+        handle = ModelRegistry(store).get(manifest.name)
+        skeleton = SkeletonPlan(build_model(seed=123), handle.layer_specs)
+        plan = skeleton.plan_for((3, 8, 8))
+        assert skeleton.plan_for((3, 8, 8)) is plan
+        other = skeleton.plan_for((3, 6, 6))
+        assert other is not plan and other.sample_shape == (3, 6, 6)
+        with pytest.raises(ValueError):
+            skeleton.plan_for((3, 6))  # wrong rank: compile fails ...
+        assert skeleton.plan_for((3, 6, 6)) is other  # ... plan kept
+
+    def test_shape_change_recompiles_and_serves(self, engine, rng):
+        small = rng.normal(size=(2, 3, 6, 6))
+        large = rng.normal(size=(2, 3, 8, 8))
+        first = engine.predict(large)
+        engine.predict(small)
+        np.testing.assert_allclose(engine.predict(large), first, atol=1e-12)
+
+    def test_skeleton_rejects_mismatched_model(self, published):
+        store, manifest, *_ = published
+        handle = ModelRegistry(store).get(manifest.name)
+        wrong = nn.Sequential(nn.Conv2d(3, 5, 3), nn.Flatten())
+        with pytest.raises(ServingError, match="weight shape"):
+            InferenceEngine(wrong, handle)

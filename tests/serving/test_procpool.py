@@ -280,6 +280,40 @@ class TestCrashRecovery:
         arena.close()
 
 
+class TestProcessPlanPath:
+    def test_bad_sample_fails_only_its_ticket(self, handle, rng):
+        """A wrong-rank sample fails in the child's plan compile; the
+        worker keeps serving and a later good sample is answered."""
+        engine = make_engine(handle, max_wait_s=0.002)
+        engine.start(workers=1, backend="process")
+        try:
+            bad = engine.submit(np.zeros((3, 8)))
+            with pytest.raises(ValueError):
+                bad.result(timeout=60.0)
+            good = engine.submit(rng.normal(size=(3, 8, 8)))
+            assert good.result(timeout=60.0).shape == (4,)
+            assert engine.summary()["worker_respawns"] == 0
+        finally:
+            engine.stop()
+        assert engine.stats.failed_requests == 1
+
+    def test_ticket_rows_survive_the_next_batch(self, handle, rng):
+        inputs = list(rng.normal(size=(8, 3, 8, 8)))
+        engine = make_engine(handle)
+        engine.start(workers=1, backend="process")
+        try:
+            tickets = [engine.submit(s) for s in inputs[:4]]
+            rows = [ticket.result(timeout=60.0) for ticket in tickets]
+            kept = [row.copy() for row in rows]
+            tickets = [engine.submit(s) for s in inputs[4:]]
+            for ticket in tickets:
+                ticket.result(timeout=60.0)
+        finally:
+            engine.stop()
+        for row, copy in zip(rows, kept):
+            np.testing.assert_array_equal(row, copy)
+
+
 class TestRegistryArena:
     def test_engines_share_one_registry_arena(self, published, rng):
         store, manifest, *_ = published

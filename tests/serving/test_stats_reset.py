@@ -49,6 +49,31 @@ class TestPercentilesEdgeCases:
         assert out == {"p5": 1.0, "p99.9": 1.0}
 
 
+class TestRecordRequests:
+    LATENCIES = [0.0004, 0.001, 0.0031, 0.2, 7.5, 30.0, float("nan"), 0.0]
+
+    def test_summary_matches_one_record_per_request(self):
+        one_each = ServingStats(metrics=MetricsRegistry())
+        batched = ServingStats(metrics=MetricsRegistry())
+        for stats in (one_each, batched):
+            stats.record_batch(len(self.LATENCIES), 0.01, worker=0, policy="static")
+        for latency in self.LATENCIES:
+            one_each.record_request(latency)
+        batched.record_requests(self.LATENCIES[:3])
+        batched.record_requests(np.array(self.LATENCIES[3:]))
+        assert str(batched.summary()) == str(one_each.summary())
+        assert (
+            batched.metrics.to_prometheus_text()
+            == one_each.metrics.to_prometheus_text()
+        )
+
+    def test_empty_batch_records_nothing(self):
+        stats = ServingStats(metrics=MetricsRegistry())
+        stats.record_requests([])
+        assert stats.request_latencies_s == []
+        assert stats.summary()["request_latency_p50_ms"] == 0.0
+
+
 class TestServingStatsReset:
     def test_reset_clears_everything_in_place(self):
         stats = ServingStats(metrics=MetricsRegistry())
