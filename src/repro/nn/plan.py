@@ -14,12 +14,12 @@ Lowering, per module type (exact type; a subclass with its own
 - ``Sequential`` is inlined; ``Identity``, eval ``Dropout`` and
   ``Flatten`` become views of their input's buffer.
 - ``Conv2d`` (groups, dilation, stride, padding) is an im2col copy plus
-  one batched GEMM — depthwise convs instead accumulate per-tap
-  products — and ``Linear`` is one GEMM.  An eval ``BatchNorm`` right
+  one batched GEMM, and ``Linear`` is one GEMM.  An eval ``BatchNorm`` right
   after either, and a ``ReLU``/``ReLU6`` after that, fold into the GEMM
   output as a per-channel scale-and-shift-and-clamp epilogue.
 - Standalone eval ``BatchNorm1d/2d`` is an in-place scale-and-shift;
-  ``ReLU``, ``ReLU6``, ``Sigmoid`` and ``SiLU`` run in place.
+  ``ReLU``, ``ReLU6``, ``Sigmoid`` and ``SiLU`` run in place (the
+  sigmoid with autograd's overflow-free formula).
 - ``MaxPool2d`` is a pairwise ``np.maximum`` over ``k*k`` strided views
   (no argmax), ``AvgPool2d`` the matching sum, ``GlobalAvgPool2d`` one
   reduction.
@@ -28,17 +28,19 @@ Lowering, per module type (exact type; a subclass with its own
   *fallback step*: that subtree runs through the autograd forward and
   its output is copied into the workspace.
 
-Every buffer (activations, padded inputs, im2col columns) gets a
+Every buffer (activations, padded inputs, activation scratch) gets a
 liveness interval at compile time; buffers whose intervals overlap get
 disjoint offsets, the rest share memory.  Buffer sizes all scale with
 the batch, so one workspace sized for the largest batch run so far
-serves every smaller batch through leading views, and a warm call
-allocates nothing but its fresh output rows.
+serves every smaller batch through leading views.  im2col columns are
+one separate array of at most 256 KiB, unrolled a chunk of samples at
+a time.  A warm call allocates nothing but its fresh output rows.
 
 Batch-norm statistics, biases and other non-weight state are read when
 the plan is compiled; ``weight`` arrays are read on every call — from
 the module, or from the ``weights`` mapping a call passes (by
-reference, never copied, for lowered layers).  A plan is not
+reference, never copied, for lowered layers; the plan drops those
+references when the call returns).  A plan is not
 thread-safe: each thread that runs one owns it.
 """
 
@@ -67,24 +69,23 @@ _ALIGN = 8
 # windows) go through numpy's buffered iterator, which otherwise
 # allocates 64 KiB per operand per call; 8 KiB buffers run as fast.
 _BUFSIZE = 1024
-# Target size (elements) of one im2col chunk: convs unroll and multiply
-# this many columns' worth of samples at a time, so the largest buffer
-# of a conv net stays a fixed 256 KiB instead of growing with the batch.
+# Size (elements) of a plan's im2col columns: convs unroll and multiply
+# this many columns' worth of samples at a time.  Unrolling whole b16
+# batches instead measured +1.5 MB peak RSS on the serving benchmark's
+# warm-thread workload (three plans) at unchanged throughput.
 _COLS_CHUNK = 32768
 
 
 class _Buffer:
-    """One workspace region, live from step ``first`` to step ``last``
-    inclusive: ``size`` float64s per sample, or ``size`` in total when
-    ``fixed`` (im2col chunks)."""
+    """One workspace region of ``size`` float64s per sample, live from
+    step ``first`` to step ``last`` inclusive."""
 
-    __slots__ = ("size", "first", "last", "offset", "fixed")
+    __slots__ = ("size", "first", "last", "offset")
 
-    def __init__(self, size: int, step: int, fixed: bool = False) -> None:
+    def __init__(self, size: int, step: int) -> None:
         self.size = int(size)
         self.first = self.last = step
         self.offset = 0
-        self.fixed = fixed
 
 
 class _Value:
@@ -98,20 +99,17 @@ class _Value:
 
 
 class _Views:
-    """Batch-``n`` views of the workspace: the fixed-size buffers come
-    first, then the per-sample ones laid out for ``n`` samples."""
+    """Batch-``n`` views of the workspace, every buffer laid out for
+    ``n`` samples, plus the plan's im2col ``columns``."""
 
-    def __init__(self, workspace: np.ndarray, fixed: int, n: int) -> None:
+    def __init__(self, workspace: np.ndarray, columns: np.ndarray, n: int) -> None:
         self.workspace = workspace
-        self.fixed = fixed
+        self.columns = columns
         self.n = n
 
     def __call__(self, buffer: _Buffer, shape: Shape) -> np.ndarray:
-        if buffer.fixed:
-            flat = self.workspace[buffer.offset : buffer.offset + buffer.size]
-            return flat.reshape(shape)
         n = self.n
-        start = self.fixed + buffer.offset * n
+        start = buffer.offset * n
         flat = self.workspace[start : start + buffer.size * n]
         return flat.reshape((n,) + tuple(shape))
 
@@ -176,22 +174,21 @@ def _padded_source(
 
 
 def _window(src: np.ndarray, i: int, j: int, out_h: int, out_w: int,
-            stride: int, dilation: int = 1) -> np.ndarray:
-    """The ``(N, C, out_h, out_w)`` view of tap ``(i, j)`` of a kernel
+            stride: int) -> np.ndarray:
+    """The ``(N, C, out_h, out_w)`` view of tap ``(i, j)`` of a window
     sliding over ``src`` (already padded)."""
-    top, left = i * dilation, j * dilation
     return src[
         :,
         :,
-        top : top + stride * (out_h - 1) + 1 : stride,
-        left : left + stride * (out_w - 1) + 1 : stride,
+        i : i + stride * (out_h - 1) + 1 : stride,
+        j : j + stride * (out_w - 1) + 1 : stride,
     ]
 
 
 class _Gemm(_Step):
     """A weighted layer (conv or linear) with an optional folded
-    per-channel scale/shift/clamp epilogue.  ``weight`` is rebound on
-    every run."""
+    per-channel scale/shift/clamp epilogue.  ``weight`` is bound for
+    the duration of each call and reset to the module's own after."""
 
     def __init__(self, name: str, module: Module, x: _Value, out: _Value) -> None:
         self.name = name
@@ -221,10 +218,11 @@ class _Conv(_Gemm):
     kind = "conv"
 
     def __init__(self, name: str, module: Conv2d, x: _Value, out: _Value,
-                 padded: Optional[_Buffer], cols: Optional[_Buffer],
-                 scratch: Optional[_Buffer]) -> None:
+                 padded: Optional[_Buffer], per_chunk: int) -> None:
         super().__init__(name, module, x, out)
-        self.padded, self.cols, self.scratch = padded, cols, scratch
+        # Samples unrolled per im2col chunk; 0 for a pointwise conv,
+        # whose input already is its columns.
+        self.padded, self.per_chunk = padded, per_chunk
 
     def bind(self, views: _Views) -> Callable[[], None]:
         module = self.module
@@ -240,17 +238,14 @@ class _Conv(_Gemm):
         scale = None if self.scale is None else self.scale[:, None]
         shift = None if self.shift is None else self.shift[:, None]
         activation = self.activation
-        if groups == c == m and c_per_group == 1:
-            return self._bind_depthwise(
-                views, src, out3, prep, scale, shift, (kh, kw, out_h, out_w)
-            )
         k = c_per_group * kh * kw
         m_per_group = m // groups
         out4 = out3.reshape(n, groups, m_per_group, length)
         # (im2col copy or None, columns, output) per chunk of samples;
         # every sample is its own GEMM, so chunking changes no bits.
         chunks: List[Tuple] = []
-        if self.cols is None:  # pointwise: the input already is im2col
+        per = self.per_chunk
+        if not per:
             chunks.append((None, x.reshape(n, groups, k, length), out4))
         else:
             s0, s1, s2, s3 = src.strides
@@ -261,15 +256,14 @@ class _Conv(_Gemm):
                          s2 * stride, s3 * stride),
                 writeable=False,
             )
-            per = self.cols.size // (c * kh * kw * length)
-            cols = views(self.cols, (per, c * kh * kw * length))
+            cols = views.columns[: per * c * kh * kw * length]
+            cols = cols.reshape(per, c, kh, kw, out_h, out_w)
             for lo in range(0, n, per):
                 hi = min(lo + per, n)
-                target = cols[: hi - lo].reshape(hi - lo, c, kh, kw, out_h, out_w)
-                columns = target.reshape(hi - lo, groups, k, length)
+                target = cols[: hi - lo]
                 chunks.append(
                     (lambda t=target, p=patches[lo:hi]: np.copyto(t, p),
-                     columns, out4[lo:hi])
+                     target.reshape(hi - lo, groups, k, length), out4[lo:hi])
                 )
         step = self
 
@@ -284,39 +278,6 @@ class _Conv(_Gemm):
             _epilogue(out3, scale, shift, activation)
 
         return kernel
-
-    def _bind_depthwise(self, views, src, out3, prep, scale, shift, dims):
-        """One multiply-accumulate per tap over strided views: a
-        ``(1, k*k) @ (k*k, L)`` GEMM per channel and sample would be
-        thousands of tiny BLAS calls."""
-        kh, kw, out_h, out_w = dims
-        module = self.module
-        m = out3.shape[1]
-        out = out3.reshape(views.n, m, out_h, out_w)
-        tmp = views(self.scratch, (m, out_h, out_w))
-        taps = [
-            (i * kw + j, _window(src, i, j, out_h, out_w,
-                                 module.stride, module.dilation))
-            for i in range(kh)
-            for j in range(kw)
-        ]
-        activation = self.activation
-        step = self
-
-        def depthwise() -> None:
-            for fn in prep:
-                fn()
-            weight = step.weight.reshape(1, m, kh * kw, 1, 1)
-            for index, (tap, window) in enumerate(taps):
-                w_tap = weight[:, :, tap]
-                if index == 0:
-                    np.multiply(window, w_tap, out=out)
-                else:
-                    np.multiply(window, w_tap, out=tmp)
-                    np.add(out, tmp, out=out)
-            _epilogue(out3, scale, shift, activation)
-
-        return depthwise
 
 
 class _Linear(_Gemm):
@@ -355,10 +316,10 @@ class _Affine(_Step):
 
 
 class _Activation(_Step):
-    """ReLU / ReLU6 / Sigmoid / SiLU in place (SiLU needs one scratch
-    buffer for the gate)."""
+    """ReLU / ReLU6 / Sigmoid / SiLU in place.  Sigmoid needs one
+    scratch buffer (its denominator), SiLU two (the gate as well)."""
 
-    def __init__(self, kind: str, x: _Value, scratch: Optional[_Buffer]) -> None:
+    def __init__(self, kind: str, x: _Value, scratch: Sequence[_Buffer]) -> None:
         self.kind = kind
         self.x = x
         self.scratch = scratch
@@ -368,24 +329,32 @@ class _Activation(_Step):
         kind = self.kind
         if kind in ("relu", "relu6"):
             return lambda: _apply_activation(x, kind)
+        scratch = [views(buffer, self.x.shape) for buffer in self.scratch]
         if kind == "sigmoid":
-            return lambda: _sigmoid(x, x)
-        gate = views(self.scratch, self.x.shape)
+            (den,) = scratch
+            return lambda: _sigmoid(x, x, den)
+        den, gate = scratch
 
         def silu() -> None:
-            _sigmoid(x, gate)
+            _sigmoid(x, gate, den)
             np.multiply(x, gate, out=x)
 
         return silu
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray) -> None:
-    """``1 / (1 + exp(-x))`` as ``0.5 * tanh(x / 2) + 0.5``: no overflow
-    for any input, and no temporaries."""
-    np.multiply(x, 0.5, out=out)
-    np.tanh(out, out=out)
-    np.multiply(out, 0.5, out=out)
-    np.add(out, 0.5, out=out)
+def _sigmoid(x: np.ndarray, out: np.ndarray, den: np.ndarray) -> None:
+    """Autograd's overflow-free logistic without temporaries:
+    ``exp(min(x, 0)) / (1 + exp(-|x|))`` is ``1 / (1 + z)`` for
+    ``x >= 0`` and ``z / (1 + z)`` below, with ``z = exp(-|x|)``, so
+    the negative tail keeps full relative precision.  ``out`` may be
+    ``x``; ``den`` is scratch."""
+    np.abs(x, out=den)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    np.add(den, 1.0, out=den)
+    np.minimum(x, 0.0, out=out)
+    np.exp(out, out=out)
+    np.divide(out, den, out=out)
 
 
 class _Pool(_Step):
@@ -501,14 +470,17 @@ class _Compiler:
     def __init__(self) -> None:
         self.steps: List[_Step] = []
         self.buffers: List[_Buffer] = []
+        # im2col columns live only inside their own conv step, so one
+        # array sized for the largest chunk serves every conv.
+        self.columns_size = 0
 
     @property
     def step_index(self) -> int:
         return len(self.steps)
 
-    def new_buffer(self, shape: Shape, fixed: bool = False) -> _Buffer:
+    def new_buffer(self, shape: Shape) -> _Buffer:
         size = int(np.prod(shape, dtype=np.int64))
-        buffer = _Buffer(size, self.step_index, fixed)
+        buffer = _Buffer(size, self.step_index)
         self.buffers.append(buffer)
         return buffer
 
@@ -579,18 +551,13 @@ class _Compiler:
             )
         self.use(x)
         padded = self.new_buffer((c, h + 2 * pad, w + 2 * pad)) if pad else None
-        depthwise = groups == c == m and c_per_group == 1
-        pointwise = kh == kw == 1 and stride == 1 and not pad
-        cols = scratch = None
-        if depthwise:
-            scratch = self.new_buffer((m, out_h, out_w))
-        elif not pointwise:
+        per_chunk = 0
+        if not (kh == kw == 1 and stride == 1 and not pad):
             per_sample = c * kh * kw * out_h * out_w
-            cols = self.new_buffer(
-                (max(1, _COLS_CHUNK // per_sample) * per_sample,), fixed=True
-            )
+            per_chunk = max(1, _COLS_CHUNK // per_sample)
+            self.columns_size = max(self.columns_size, per_chunk * per_sample)
         out = self.new_value((m, out_h, out_w))
-        step = _Conv(name, module, x, out, padded, cols, scratch)
+        step = _Conv(name, module, x, out, padded, per_chunk)
         self.add(step)
         return step
 
@@ -607,8 +574,10 @@ class _Compiler:
         if kind in _ACTIVATIONS:
             self.use(x)
             activation = _ACTIVATIONS[kind]
-            scratch = self.new_buffer(x.shape) if activation == "silu" else None
-            self.add(_Activation(activation, x, scratch))
+            scratch = {"sigmoid": 1, "silu": 2}.get(activation, 0)
+            self.add(_Activation(
+                activation, x, [self.new_buffer(x.shape) for _ in range(scratch)]
+            ))
             return x
         if kind in (MaxPool2d, AvgPool2d) and len(x.shape) == 3:
             c, h, w = x.shape
@@ -689,10 +658,8 @@ class EvalPlan:
         self._output = compiler.compile(model, self._input)
         compiler.use(self._output)
         self._steps = compiler.steps
-        self._fixed = _assign_offsets([b for b in compiler.buffers if b.fixed])
-        self._per_sample = _assign_offsets(
-            [b for b in compiler.buffers if not b.fixed]
-        )
+        self._per_sample = _assign_offsets(compiler.buffers)
+        self._columns = np.empty(compiler.columns_size)
         self.output_shape = self._output.shape
         # Layer name -> the lowered step whose weight slot it fills;
         # weighted modules under a fallback step are installed into the
@@ -722,7 +689,7 @@ class EvalPlan:
 
     @property
     def workspace_bytes(self) -> int:
-        return int(self._workspace.nbytes)
+        return int(self._workspace.nbytes + self._columns.nbytes)
 
     # -- execution ------------------------------------------------------
     def _bind(self, n: int):
@@ -730,10 +697,10 @@ class EvalPlan:
         if bound is not None:
             return bound
         if n > self._capacity:
-            self._workspace = np.empty(self._fixed + self._per_sample * n)
+            self._workspace = np.empty(self._per_sample * n)
             self._capacity = n
             self._bound.clear()
-        views = _Views(self._workspace, self._fixed, n)
+        views = _Views(self._workspace, self._columns, n)
         bound = (
             views.value(self._input),
             views.value(self._output),
@@ -748,16 +715,14 @@ class EvalPlan:
         weights: Optional[Mapping[str, np.ndarray]] = None,
     ) -> np.ndarray:
         """Forward ``batch``; ``weights`` maps layer names to arrays
-        that replace the modules' own weights for this call."""
+        that replace the modules' own weights for this call.  The plan
+        holds no reference to them once the call returns."""
         batch = np.asarray(batch)
         if batch.shape[1:] != self.sample_shape:
             raise ValueError(
                 f"plan compiled for samples of shape {self.sample_shape}, "
                 f"got batch of shape {batch.shape}"
             )
-        for name, step in self._slots.items():
-            weight = None if weights is None else weights.get(name)
-            step.weight = step.module.weight.data if weight is None else weight
         if weights is not None:
             for name, module in self._fallback_modules.items():
                 weight = weights.get(name)
@@ -770,10 +735,15 @@ class EvalPlan:
         np.copyto(x, batch, casting="same_kind")
         bufsize = np.setbufsize(_BUFSIZE)  # per-thread setting
         try:
+            for name, step in self._slots.items():
+                weight = None if weights is None else weights.get(name)
+                step.weight = step.module.weight.data if weight is None else weight
             for kernel in kernels:
                 kernel()
         finally:
             np.setbufsize(bufsize)
+            for step in self._slots.values():
+                step.weight = step.module.weight.data
         return y.copy()
 
 

@@ -5,9 +5,10 @@
 :class:`~repro.serving.registry.CompressedModelHandle`, and one
 :class:`~repro.serving.rebuild.RebuildEngine`.  Every batch fetches
 each compressed layer's dense weight from the rebuild cache and binds
-it by reference into the skeleton's eval plan — so the dense model only
-ever exists layer-by-layer, bounded by the cache capacity, while the
-full network state lives in the small {B, Ce, index} payloads.
+it by reference into the skeleton's eval plan for that batch only — so
+rebuilt dense weights outlive a batch only in the cache, bounded by
+its capacity, while the full network state lives in the small
+{B, Ce, index} payloads.
 
 Three serving paths share one execution core,
 :func:`~repro.serving.execute.execute_batch`:

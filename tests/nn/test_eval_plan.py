@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -205,9 +206,21 @@ class TestOpCoverage:
     def test_sigmoid_saturates_without_overflow(self):
         model = nn.Sequential(nn.Sigmoid(), nn.SiLU()).eval()
         x = np.array([[-800.0, -40.0, 0.0, 40.0, 800.0]])
-        with np.errstate(all="raise"):
+        with np.errstate(over="raise", invalid="raise"):
             out = compile_eval(model, (5,))(x)
         assert_matches(out, reference(model, x))
+
+    @pytest.mark.parametrize("activation", [nn.Sigmoid, nn.SiLU])
+    def test_negative_tail_keeps_relative_precision(self, activation):
+        """Element-wise, not scaled by the largest output: at x = -40
+        the logistic is about 4e-18, far below what a tolerance scaled
+        by max|ref| would notice."""
+        model = nn.Sequential(activation()).eval()
+        x = np.linspace(-40.0, -20.0, 41)[None, :]
+        out = compile_eval(model, (41,))(x)
+        ref = reference(model, x)
+        assert np.all(ref != 0.0)
+        np.testing.assert_allclose(out, ref, rtol=1e-15, atol=0.0)
 
     def test_training_mode_modules_fall_back(self, rng):
         model = nn.Sequential(
@@ -311,6 +324,15 @@ class TestWeightBinding:
         np.testing.assert_array_equal(model[4].weight.data, original)
         model[4].weight.data[...] = swapped["4"]
         assert_matches(out, reference(model, x))
+
+    def test_bound_weights_are_released_after_the_call(self, rng):
+        model = bench_cnn()
+        plan = compile_eval(model, (3, 16, 16))
+        weight = rng.normal(size=model[4].weight.data.shape)
+        ref = weakref.ref(weight)
+        plan(rng.normal(size=(2, 3, 16, 16)), {"4": weight})
+        del weight
+        assert ref() is None
 
     def test_fallback_weights_are_installed_into_the_module(self, rng):
         from repro.nn.models.resnet import Bottleneck
