@@ -72,7 +72,8 @@ _BUFSIZE = 1024
 # Size (elements) of a plan's im2col columns: convs unroll and multiply
 # this many columns' worth of samples at a time.  Unrolling whole b16
 # batches instead measured +1.5 MB peak RSS on the serving benchmark's
-# warm-thread workload (three plans) at unchanged throughput.
+# warm-thread workload (three plans; 2-CPU x86-64 host) at unchanged
+# throughput.
 _COLS_CHUNK = 32768
 
 
