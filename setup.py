@@ -23,7 +23,7 @@ setup(
     python_requires=">=3.9",
     install_requires=["numpy>=1.22"],
     extras_require={
-        "test": ["pytest", "pytest-benchmark"],
+        "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
     classifiers=[
         "Programming Language :: Python :: 3",

@@ -10,6 +10,8 @@ the same approximation the corresponding quantizer would.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.codecs.base import (
@@ -20,11 +22,40 @@ from repro.codecs.base import (
 )
 from repro.core.omega import fit_omega, quantize_to_omega
 from repro.core.serialize import (
-    decode_coefficient_codes,
+    coefficient_code_values,
     encode_coefficient_codes,
     pack_nibbles,
-    unpack_nibbles,
 )
+
+
+@lru_cache(maxsize=256)
+def _pow2_table(p_min: int, bits: int, packed: bool) -> np.ndarray:
+    """Decoded values indexed by stored code: a ``(256, 2)`` table of
+    (low, high) nibble values per packed byte, or ``2**bits`` entries
+    for unpacked codes."""
+    if not packed:
+        table = coefficient_code_values(p_min, 2**bits)
+    else:
+        values = coefficient_code_values(p_min, 16)
+        byte = np.arange(256)
+        table = np.stack([values[byte & 0x0F], values[byte >> 4]], axis=1)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _fp8_table(exponent_bits: int, mantissa_bits: int) -> np.ndarray:
+    """The value of each of the 256 FP8 bytes."""
+    bias, steps = 2 ** (exponent_bits - 1), 2**mantissa_bits
+    raw = np.arange(256)
+    exp_field = (raw >> mantissa_bits) & (2**exponent_bits - 1)
+    mantissa = raw & (steps - 1)
+    sign = np.where(raw >> 7 == 0, 1.0, -1.0)
+    normal = sign * (1.0 + mantissa / steps) * 2.0 ** (exp_field - bias)
+    subnormal = sign * mantissa * 2.0 ** (1 - bias - mantissa_bits)
+    table = np.where(exp_field == 0, subnormal, normal)
+    table.setflags(write=False)
+    return table
 
 
 class LinearQuantCodec:
@@ -125,11 +156,13 @@ class Pow2QuantCodec:
         check_codec(payload, self.name)
         if payload.meta.get("empty"):
             return decode_empty(payload)
+        meta = payload.meta
+        table = _pow2_table(
+            int(meta["p_min"]), int(meta["bits"]), bool(meta["packed"])
+        )
+        values = table.take(payload.arrays["codes"], axis=0).reshape(-1)
         size = int(np.prod(payload.weight_shape, dtype=np.int64))
-        stored = payload.arrays["codes"]
-        codes = unpack_nibbles(stored, size) if payload.meta["packed"] else stored
-        values = decode_coefficient_codes(codes, int(payload.meta["p_min"]))
-        return values.reshape(payload.weight_shape)
+        return values[:size].reshape(payload.weight_shape)
 
     def payload_bytes(self, payload: LayerPayload) -> int:
         check_codec(payload, self.name)
@@ -214,17 +247,10 @@ class FP8Codec:
         check_codec(payload, self.name)
         if payload.meta.get("empty"):
             return decode_empty(payload)
-        eb = int(payload.meta["exponent_bits"])
-        mb = int(payload.meta["mantissa_bits"])
-        bias, steps = 2 ** (eb - 1), 2**mb
-        raw = payload.arrays["fp8"].astype(np.int64)
-        exp_field = (raw >> mb) & (2**eb - 1)
-        mantissa = raw & (steps - 1)
-        sign = np.where(raw >> 7 == 0, 1.0, -1.0)
-        normal = sign * (1.0 + mantissa / steps) * 2.0 ** (exp_field - bias)
-        subnormal = sign * mantissa * 2.0 ** (1 - bias - mb)
-        values = np.where(exp_field == 0, subnormal, normal)
-        return values.reshape(payload.weight_shape)
+        table = _fp8_table(
+            int(payload.meta["exponent_bits"]), int(payload.meta["mantissa_bits"])
+        )
+        return table.take(payload.arrays["fp8"]).reshape(payload.weight_shape)
 
     def payload_bytes(self, payload: LayerPayload) -> int:
         check_codec(payload, self.name)

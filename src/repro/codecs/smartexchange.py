@@ -7,10 +7,21 @@ row-index bitmap, 8-bit basis) behind the :class:`~repro.codecs.base.
 WeightCodec` protocol, so the serving layer treats the paper's encoding
 exactly like every baseline.
 
-The payload is self-describing: the reshape plan and per-matrix scalar
-metadata travel in ``meta``, so decoding needs no
+A layer of N decomposed matrices is stored stacked, as three arrays:
+
+- ``index``: one row bitmap over every matrix's rows, in order, packed
+  8 per byte;
+- ``codes``: the 4-bit coefficient codes of every alive row, in the
+  same order, packed two per byte;
+- ``basis``: the ``(N, cols, S)`` int8 bases.
+
+``meta`` holds the per-matrix scalars as columns (``rows``, ``p_min``,
+``p_max``, ``basis_scale``) plus ``cols``, ``kind`` and the reshape
+``plan``, so decoding needs no
 :class:`~repro.core.config.SmartExchangeConfig` — the config shapes the
-*encoder's* search only.
+*encoder's* search only.  Decode rebuilds the whole layer in a fixed
+number of numpy calls (a code-to-value table lookup, then one batched
+``Ce B`` product over the alive rows), with no per-matrix loop.
 """
 
 from __future__ import annotations
@@ -32,8 +43,13 @@ from repro.core.layer_transform import (
     compress_conv_weight,
     compress_fc_weight,
 )
-from repro.core.reshape import ReshapePlan, from_matrices
-from repro.core.serialize import decomposition_payload, payload_weight
+from repro.core.reshape import ReshapePlan
+from repro.core.serialize import (
+    coefficient_code_values,
+    decomposition_payload,
+    pack_nibbles,
+    unpack_nibbles,
+)
 
 
 def plan_to_json(plan: ReshapePlan) -> Dict:
@@ -94,30 +110,10 @@ class SmartExchangeCodec:
         self, compression: LayerCompression, config: SmartExchangeConfig
     ) -> LayerPayload:
         """Pack an existing decomposition (no re-fitting)."""
-        arrays: Dict[str, np.ndarray] = {}
-        matrices: List[Dict] = []
-        for j, decomposition in enumerate(compression.decompositions):
-            image = decomposition_payload(decomposition, config)
-            arrays[f"m{j}.index"] = image["index"]
-            arrays[f"m{j}.codes"] = image["codes"]
-            arrays[f"m{j}.basis"] = image["basis"]
-            p_min, p_max, rows, cols = (int(v) for v in image["meta"])
-            matrices.append({
-                "p_min": p_min,
-                "p_max": p_max,
-                "rows": rows,
-                "cols": cols,
-                "basis_scale": float(image["basis_scale"][0]),
-            })
-        return LayerPayload(
-            codec=self.name,
-            weight_shape=_weight_shape(compression.kind, compression.plan),
-            arrays=arrays,
-            meta={
-                "kind": compression.kind,
-                "plan": plan_to_json(compression.plan),
-                "matrices": matrices,
-            },
+        return self.payload_from_matrices(
+            [decomposition_payload(d, config) for d in compression.decompositions],
+            compression.kind,
+            compression.plan,
         )
 
     def payload_from_matrices(
@@ -126,29 +122,47 @@ class SmartExchangeCodec:
         kind: str,
         plan: ReshapePlan,
     ) -> LayerPayload:
-        """Adapt one layer of the legacy ``core.serialize`` npz format."""
-        arrays: Dict[str, np.ndarray] = {}
-        matrices: List[Dict] = []
-        for j, image in enumerate(matrix_payloads):
-            arrays[f"m{j}.index"] = np.asarray(image["index"])
-            arrays[f"m{j}.codes"] = np.asarray(image["codes"])
-            arrays[f"m{j}.basis"] = np.asarray(image["basis"])
-            p_min, p_max, rows, cols = (int(v) for v in image["meta"])
-            matrices.append({
-                "p_min": p_min,
-                "p_max": p_max,
-                "rows": rows,
-                "cols": cols,
-                "basis_scale": float(image["basis_scale"][0]),
-            })
+        """Stack per-matrix DRAM images (:func:`~repro.core.serialize.
+        decomposition_payload`) into one layer payload.
+
+        The one entry into the stacked layout: fresh encodes and every
+        older bundle layout pass through here.
+        """
+        shape = _weight_shape(kind, plan)
+        if not matrix_payloads:
+            return empty_payload(self.name, shape)
+        scalars = np.array(
+            [image["meta"] for image in matrix_payloads], dtype=np.int64
+        )
+        p_min, p_max, rows, cols = scalars.T
+        if np.any(cols != cols[0]):
+            raise CodecError("the matrices of one layer must share a width")
+        alive = [
+            np.unpackbits(image["index"], count=int(count)).astype(bool)
+            for image, count in zip(matrix_payloads, rows)
+        ]
+        codes = [
+            unpack_nibbles(image["codes"], int(mask.sum()) * int(cols[0]))
+            for image, mask in zip(matrix_payloads, alive)
+        ]
         return LayerPayload(
             codec=self.name,
-            weight_shape=_weight_shape(kind, plan),
-            arrays=arrays,
+            weight_shape=shape,
+            arrays={
+                "index": np.packbits(np.concatenate(alive)),
+                "codes": pack_nibbles(np.concatenate(codes)),
+                "basis": np.stack([image["basis"] for image in matrix_payloads]),
+            },
             meta={
                 "kind": kind,
                 "plan": plan_to_json(plan),
-                "matrices": matrices,
+                "cols": int(cols[0]),
+                "rows": rows.tolist(),
+                "p_min": p_min.tolist(),
+                "p_max": p_max.tolist(),
+                "basis_scale": [
+                    float(image["basis_scale"][0]) for image in matrix_payloads
+                ],
             },
         )
 
@@ -157,35 +171,47 @@ class SmartExchangeCodec:
         check_codec(payload, self.name)
         if payload.meta.get("empty"):
             return decode_empty(payload)
-        plan = plan_from_json(payload.meta["plan"])
-        rebuilt: List[np.ndarray] = []
-        for j, scalars in enumerate(payload.meta["matrices"]):
-            rebuilt.append(payload_weight({
-                "index": payload.arrays[f"m{j}.index"],
-                "codes": payload.arrays[f"m{j}.codes"],
-                "basis": payload.arrays[f"m{j}.basis"],
-                "meta": np.array([
-                    scalars["p_min"], scalars["p_max"],
-                    scalars["rows"], scalars["cols"],
-                ], dtype=np.int32),
-                "basis_scale": np.array([scalars["basis_scale"]]),
-            }))
-        weight = from_matrices(rebuilt, plan)
-        if payload.meta["kind"] == "pointwise":
-            weight = weight.reshape(payload.weight_shape)
-        return weight
+        meta, arrays = payload.meta, payload.arrays
+        rows = np.asarray(meta["rows"], dtype=np.intp)
+        cols, total = int(meta["cols"]), int(rows.sum())
+        alive = np.flatnonzero(np.unpackbits(arrays["index"], count=total))
+        matrix_of_row = np.repeat(np.arange(rows.size), rows)[alive]
+        codes = unpack_nibbles(arrays["codes"], alive.size * cols)
+        table = coefficient_code_values(meta["p_min"], 16)
+        coefficient = table[matrix_of_row[:, None], codes.reshape(-1, cols)]
+        basis = arrays["basis"] * np.asarray(meta["basis_scale"])[:, None, None]
+        bases = basis.take(matrix_of_row, axis=0)
+        products = np.einsum("rk,rks->rs", coefficient, bases)
+        if rows.min() == 1:
+            # numpy multiplies a one-row matrix through gemv, whose
+            # summation order is not gemm's in-order one; rebuild those
+            # rows the same way so the result stays bit-identical to a
+            # per-matrix ``Ce @ B``.
+            lone = rows[matrix_of_row] == 1
+            products[lone] = np.matmul(
+                coefficient[lone, None, :], bases[lone]
+            )[:, 0]
+        matrices = np.zeros((total, basis.shape[2]))
+        matrices[alive] = products
+        # Rows run unit-major (filter or FC row, then slice), so each
+        # unit's rows are one contiguous block of the stacked matrix.
+        plan = meta["plan"]
+        units, width = plan["original_shape"][:2]
+        weight = matrices.reshape(units, -1)
+        if plan["kind"] == "fc" and weight.shape[1] != width:
+            weight = np.ascontiguousarray(weight[:, :width])
+        return weight.reshape(payload.weight_shape)
 
     def payload_bytes(self, payload: LayerPayload) -> int:
         check_codec(payload, self.name)
         if payload.meta.get("empty"):
             return 0
-        image_bytes = payload.nbytes
         # one ΩP anchor byte per matrix, as in core.serialize
-        return image_bytes + len(payload.meta["matrices"])
+        return payload.nbytes + payload_matrix_count(payload)
 
 
 def payload_matrix_count(payload: LayerPayload) -> int:
     """Number of decomposed matrices stored in a smartexchange payload."""
     if payload.meta.get("empty"):
         return 0
-    return len(payload.meta["matrices"])
+    return len(payload.meta["rows"])

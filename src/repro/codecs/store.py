@@ -1,17 +1,28 @@
 """Persisting codec payloads: the ``weights.npz`` image of a bundle.
 
-Format 2 (written here) stores any codec's payloads generically::
+Format 3 (written here) stores any codec's payloads generically::
 
-    __format__ = [2]
+    __format__ = [3]
     __layers__ = [n]
     L{i}.name  = [layer name]        L{i}.codec = [registry name]
     L{i}.shape = weight shape        L{i}.meta  = [meta as JSON]
     L{i}.keys  = array-key list      L{i}.A.<key> = payload array
 
-Format 1 is the legacy SmartExchange-only layout of
-:mod:`repro.core.serialize` (PR-1/PR-2 bundles); the reader adapts it
-into :class:`~repro.codecs.base.LayerPayload` on the fly so every
-consumer sees one payload type regardless of bundle age.
+A smartexchange layer is one stacked payload (``index``, ``codes``,
+``basis``; see :mod:`repro.codecs.smartexchange`).  Readers also accept
+the two older layouts and convert them once, at load time, through
+:meth:`~repro.codecs.smartexchange.SmartExchangeCodec.
+payload_from_matrices`:
+
+- format 2 is format 3's container with smartexchange layers stored as
+  per-matrix ``m{j}.index`` / ``m{j}.codes`` / ``m{j}.basis`` arrays
+  and a ``matrices`` list in ``meta``;
+- format 1 is the SmartExchange-only layout of
+  :mod:`repro.core.serialize` (PR-1/PR-2 bundles), whose reshape plans
+  live in the bundle manifest.
+
+Every consumer therefore sees one payload layout per codec, whatever
+the bundle's age.
 
 Reading is *lazy*: :class:`LazyPayloadFile` materializes only the tiny
 per-layer index up front and decompresses a layer's arrays the first
@@ -28,14 +39,15 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.codecs.base import CodecError, LayerPayload, get_codec
+from repro.codecs.smartexchange import SmartExchangeCodec, plan_from_json
 
-PAYLOAD_FORMAT = 2
-_LEGACY_FORMAT = 1
-_LEGACY_KEYS = ("index", "codes", "basis", "meta", "basis_scale")
+PAYLOAD_FORMAT = 3
+_READABLE_FORMATS = (1, 2, 3)
+_IMAGE_KEYS = ("index", "codes", "basis", "meta", "basis_scale")
 
 
 def write_payloads_npz(path, payloads: Mapping[str, LayerPayload]) -> int:
-    """Write ``{layer: payload}`` as a format-2 npz; returns the total
+    """Write ``{layer: payload}`` as a format-3 npz; returns the total
     analytic payload bytes (per each payload's codec accounting)."""
     arrays: Dict[str, np.ndarray] = {
         "__format__": np.array([PAYLOAD_FORMAT]),
@@ -66,7 +78,7 @@ class LazyPayloadFile(Mapping):
 
     ``legacy_layers`` supplies ``{name: (kind, plan)}`` for format-1
     files, whose npz carries no reshape metadata of its own (it lived
-    in the manifest); format-2 files ignore it.
+    in the manifest); later formats ignore it.
     """
 
     def __init__(self, path, legacy_layers: Optional[Dict] = None) -> None:
@@ -75,20 +87,16 @@ class LazyPayloadFile(Mapping):
         self._lock = threading.Lock()
         self._cache: Dict[str, LayerPayload] = {}
         self._legacy_layers = legacy_layers or {}
-        version = int(self._npz["__format__"][0])
-        if version == PAYLOAD_FORMAT:
-            self._legacy = False
-        elif version == _LEGACY_FORMAT:
-            self._legacy = True
-        else:
-            raise CodecError(f"unsupported weights format {version}")
+        self._version = int(self._npz["__format__"][0])
+        if self._version not in _READABLE_FORMATS:
+            raise CodecError(f"unsupported weights format {self._version}")
         # The index (names, codecs, matrix counts) is tiny; read it
         # eagerly so iteration and membership never touch array data.
         self._index: Dict[str, Tuple[int, int]] = {}
         for i in range(int(self._npz["__layers__"][0])):
             name = str(self._npz[f"L{i}.name"][0])
             count = (
-                int(self._npz[f"L{i}.count"][0]) if self._legacy else 0
+                int(self._npz[f"L{i}.count"][0]) if self._version == 1 else 0
             )
             self._index[name] = (i, count)
 
@@ -105,7 +113,7 @@ class LazyPayloadFile(Mapping):
                     f"payload file is closed; layer {name!r} was never loaded"
                 )
             payload = (
-                self._load_legacy(name) if self._legacy
+                self._load_format1(name) if self._version == 1
                 else self._load(name)
             )
             self._cache[name] = payload
@@ -124,16 +132,33 @@ class LazyPayloadFile(Mapping):
     def _load(self, name: str) -> LayerPayload:
         i, _ = self._index[name]
         keys = [str(k) for k in self._npz[f"L{i}.keys"]]
+        arrays = {key: self._npz[f"L{i}.A.{key}"] for key in keys}
+        meta = json.loads(str(self._npz[f"L{i}.meta"][0]))
+        if self._version == 2 and "matrices" in meta:
+            images = [
+                {
+                    "index": arrays[f"m{j}.index"],
+                    "codes": arrays[f"m{j}.codes"],
+                    "basis": arrays[f"m{j}.basis"],
+                    "meta": np.array([
+                        scalars["p_min"], scalars["p_max"],
+                        scalars["rows"], scalars["cols"],
+                    ]),
+                    "basis_scale": np.array([scalars["basis_scale"]]),
+                }
+                for j, scalars in enumerate(meta["matrices"])
+            ]
+            return SmartExchangeCodec().payload_from_matrices(
+                images, meta["kind"], plan_from_json(meta["plan"])
+            )
         return LayerPayload(
             codec=str(self._npz[f"L{i}.codec"][0]),
             weight_shape=tuple(int(d) for d in self._npz[f"L{i}.shape"]),
-            arrays={key: self._npz[f"L{i}.A.{key}"] for key in keys},
-            meta=json.loads(str(self._npz[f"L{i}.meta"][0])),
+            arrays=arrays,
+            meta=meta,
         )
 
-    def _load_legacy(self, name: str) -> LayerPayload:
-        from repro.codecs.smartexchange import SmartExchangeCodec
-
+    def _load_format1(self, name: str) -> LayerPayload:
         spec = self._legacy_layers.get(name)
         if spec is None:
             raise CodecError(
@@ -141,11 +166,11 @@ class LazyPayloadFile(Mapping):
             )
         kind, plan = spec
         i, count = self._index[name]
-        matrices: List[Dict[str, np.ndarray]] = [
-            {key: self._npz[f"L{i}.M{j}.{key}"] for key in _LEGACY_KEYS}
+        images: List[Dict[str, np.ndarray]] = [
+            {key: self._npz[f"L{i}.M{j}.{key}"] for key in _IMAGE_KEYS}
             for j in range(count)
         ]
-        return SmartExchangeCodec().payload_from_matrices(matrices, kind, plan)
+        return SmartExchangeCodec().payload_from_matrices(images, kind, plan)
 
     # ------------------------------------------------------------------
     def materialize(self) -> Dict[str, LayerPayload]:

@@ -71,6 +71,17 @@ def decode_coefficient_codes(
     return out
 
 
+def coefficient_code_values(p_min, count: int = 16) -> np.ndarray:
+    """What :func:`decode_coefficient_codes` maps codes ``0..count-1``
+    to, as a table with one row per entry of ``p_min`` (a scalar
+    anchor gives a single row of ``count`` values)."""
+    payload = np.arange(count - 1)
+    exponents = np.asarray(p_min, dtype=np.int64)[..., None] + payload // 2
+    table = np.zeros(exponents.shape[:-1] + (count,))
+    table[..., 1:] = np.where(payload % 2 == 0, 1.0, -1.0) * 2.0**exponents
+    return table
+
+
 def pack_nibbles(codes: np.ndarray) -> np.ndarray:
     """Pack 4-bit codes two-per-byte (little nibble first)."""
     flat = np.asarray(codes, dtype=np.uint8).reshape(-1)
@@ -191,7 +202,9 @@ def load_payloads(path) -> Dict[str, List[Dict[str, np.ndarray]]]:
 
     The payloads stay in the packed DRAM-image form (nibble codes, index
     bitmap, int8 basis), so the caller decides when to pay the rebuild
-    compute — this is what :mod:`repro.serving.rebuild` consumes.
+    compute.  Serving reads this layout through
+    :class:`repro.codecs.LazyPayloadFile`, which stacks each layer into
+    one smartexchange codec payload.
     """
     with np.load(path, allow_pickle=False) as data:
         version = int(data["__format__"][0])

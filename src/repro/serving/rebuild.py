@@ -50,8 +50,6 @@ from typing import (
 import numpy as np
 
 from repro.codecs import LayerPayload, get_codec
-from repro.core.reshape import from_matrices
-from repro.core.serialize import payload_weight
 from repro.costs import CodecCostModel
 from repro.observability import NULL_OBSERVABILITY, MetricsRegistry
 from repro.serving.artifacts import LayerArtifactSpec
@@ -533,21 +531,11 @@ def make_admission_policy(
 
 
 def rebuild_layer_weight(
-    payload: Union[LayerPayload, List[Dict[str, np.ndarray]]],
-    spec: LayerArtifactSpec,
+    payload: LayerPayload, spec: LayerArtifactSpec
 ) -> np.ndarray:
-    """Decode one layer's payload into its dense weight tensor.
-
-    Dispatches through the codec registry on ``payload.codec``.  A raw
-    list of SmartExchange matrix dicts (the pre-codec
-    ``core.serialize.load_payloads`` shape) is still accepted and
-    decoded via the spec's reshape plan.
-    """
-    if isinstance(payload, (list, tuple)):
-        matrices = [payload_weight(image) for image in payload]
-        weight = from_matrices(matrices, spec.plan)
-    else:
-        weight = get_codec(payload.codec).decode(payload)
+    """Decode one layer's payload into its dense weight tensor,
+    dispatching through the codec registry on ``payload.codec``."""
+    weight = get_codec(payload.codec).decode(payload)
     if tuple(weight.shape) != tuple(spec.weight_shape):
         weight = weight.reshape(spec.weight_shape)
     return weight

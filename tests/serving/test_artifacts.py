@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.reshape import from_matrices
-from repro.core.serialize import payload_weight
+from repro.core.serialize import decomposition_payload, payload_weight
 from repro.serving import (
     ArtifactCorruptionError,
     ArtifactError,
@@ -124,28 +124,18 @@ class TestSerializeRoundTripThroughStore:
     """Satellite: save -> load -> rebuilt dense weights, plus corruption."""
 
     def test_rebuilt_weights_bitwise_equal_to_serialized_form(self, published):
-        store, manifest, _, report, _ = published
+        store, manifest, _, report, config = published
         payloads = store.load_payloads(manifest.name)
         for layer in report.layers:
             spec = manifest.layer(layer.name)
             payload = payloads[layer.name]
             rebuilt = rebuild_layer_weight(payload, spec)
-            # Bitwise-identical to decoding the packed matrices by hand
-            # (reassembling the per-matrix DRAM images from the payload
-            # arrays and scalar metadata) ...
-            matrices = []
-            for j, scalars in enumerate(payload.meta["matrices"]):
-                matrices.append(payload_weight({
-                    "index": payload.arrays[f"m{j}.index"],
-                    "codes": payload.arrays[f"m{j}.codes"],
-                    "basis": payload.arrays[f"m{j}.basis"],
-                    "meta": np.array(
-                        [scalars["p_min"], scalars["p_max"],
-                         scalars["rows"], scalars["cols"]],
-                        dtype=np.int32,
-                    ),
-                    "basis_scale": np.array([scalars["basis_scale"]]),
-                }))
+            # Bitwise-identical to decoding each decomposition's own
+            # DRAM image by hand and reassembling the layer ...
+            matrices = [
+                payload_weight(decomposition_payload(decomposition, config))
+                for decomposition in layer.decompositions
+            ]
             reference = from_matrices(matrices, spec.plan).reshape(
                 spec.weight_shape
             )

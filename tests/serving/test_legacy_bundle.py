@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.codecs import LayerPayload
+from repro.codecs import LayerPayload, payload_matrix_count
 from repro.serving import ArtifactStore, InferenceEngine, ModelRegistry
 from repro.serving.artifacts import DEFAULT_CODEC
 
@@ -58,7 +58,7 @@ class TestLegacyServing:
             payload = payloads[spec.name]
             assert isinstance(payload, LayerPayload)
             assert payload.codec == "smartexchange"
-            assert len(payload.meta["matrices"]) == spec.matrix_count
+            assert payload_matrix_count(payload) == spec.matrix_count
 
     def test_legacy_bundle_serves_end_to_end(self, legacy_store):
         registry = ModelRegistry(legacy_store)
