@@ -19,7 +19,7 @@ serve through the identical pipeline.
 - :mod:`repro.serving.rebuild` — dense weights rebuilt on read behind a
   capacity-bounded cache (:class:`RebuildEngine`) with pluggable
   admission/eviction (:class:`AdmissionPolicy`: :class:`LRUPolicy`,
-  :class:`CostAwarePolicy`, :class:`SizeAwarePolicy`).
+  :class:`CostAwarePolicy`).
 - :mod:`repro.serving.tiers` — the cache's lower tiers
   (:class:`CompressedRamTier`, :class:`DiskSpillTier`): layers leaving
   the dense tier demote into zlib blobs (RAM, then disk) and fault back
@@ -147,7 +147,6 @@ from repro.serving.rebuild import (
     LRUPolicy,
     RebuildCacheStats,
     RebuildEngine,
-    SizeAwarePolicy,
     make_admission_policy,
     rebuild_layer_weight,
 )
@@ -199,7 +198,6 @@ __all__ = [
     "CacheEntryView",
     "LRUPolicy",
     "CostAwarePolicy",
-    "SizeAwarePolicy",
     "make_admission_policy",
     "CacheTier",
     "CompressedRamTier",

@@ -20,7 +20,6 @@ compute once; cold layers are evicted and rebuilt on their next access.
   resident-byte (estimated by a :class:`~repro.costs.CodecCostModel`),
   so cheap-to-rebuild layers are evicted first and a layer is only
   admitted if every byte it displaces was cheaper to rebuild.
-- :class:`SizeAwarePolicy` — evicts the largest resident layer first.
 
 The cache counters expose the realized storage-vs-compute trade:
 ``bytes_saved`` is the dense footprint *not* held resident,
@@ -449,25 +448,6 @@ class LRUPolicy:
         return resident[0].name
 
 
-class SizeAwarePolicy:
-    """Admit everything; evict the largest resident layer first.
-
-    Frees the most bytes per eviction, so many small layers stay hot at
-    the cost of re-rebuilding the big ones — the right shape when small
-    layers dominate the access mix.
-    """
-
-    name = "size-aware"
-    requires_costs = False
-
-    def admit(self, candidate, resident, free_bytes) -> bool:
-        return True
-
-    def victim(self, candidate, resident) -> str:
-        # max() keeps the first (least recently used) among size ties.
-        return max(resident, key=lambda view: view.nbytes).name
-
-
 class CostAwarePolicy:
     """Greedy knapsack on rebuild-seconds-per-resident-byte.
 
@@ -509,7 +489,6 @@ class CostAwarePolicy:
 ADMISSION_POLICIES = {
     LRUPolicy.name: LRUPolicy,
     CostAwarePolicy.name: CostAwarePolicy,
-    SizeAwarePolicy.name: SizeAwarePolicy,
 }
 
 

@@ -169,7 +169,6 @@ class ServingStats:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.request_latencies_s: List[float] = []
         self.batch_latencies_s: List[float] = []
-        self.batch_sizes: List[int] = []
         self.per_worker: Dict[int, WorkerStats] = {}
         self.per_policy: Dict[str, PolicyStats] = {}
         self._window_start: Optional[float] = None
@@ -217,7 +216,6 @@ class ServingStats:
         with self._lock:
             self.request_latencies_s = []
             self.batch_latencies_s = []
-            self.batch_sizes = []
             for slice_ in self.per_worker.values():
                 slice_.reset()
             for slice_ in self.per_policy.values():
@@ -248,7 +246,6 @@ class ServingStats:
         end = time.perf_counter()
         start = end - float(latency_s)
         with self._lock:
-            self.batch_sizes.append(int(batch_size))
             self.batch_latencies_s.append(float(latency_s))
             self._requests.inc(int(batch_size))
             self._batches.inc()
@@ -321,10 +318,12 @@ class ServingStats:
             return self._mean_batch_size_locked()
 
     def _mean_batch_size_locked(self) -> float:
-        # Caller holds self._lock.
-        if not self.batch_sizes:
+        # Caller holds self._lock, under which record_batch moves both
+        # counters together.
+        batches = self._batches.value
+        if not batches:
             return 0.0
-        return float(np.mean(self.batch_sizes))
+        return self._requests.value / batches
 
     @property
     def wall_seconds(self) -> float:

@@ -174,14 +174,18 @@ class TestServingHost:
         host = make_host(two_model_store, "cost-aware")
         warm = host.engines()["host-se:v1"]
         warm.rebuild.warm()
+        warm.rebuild.reset_stats()
         assert warm.estimated_install_seconds() == 0.0
         with host:
             tickets = [host.submit(s) for s in samples(8)]
             for ticket in tickets:
                 ticket.result(timeout=30.0)
-        routed = host.summary()["routed_by_engine"]
+        summary = host.summary()
+        routed = summary["routed_by_engine"]
         assert routed.get("host-se:v1", 0) == 8
         assert routed.get("host-ql:v1", 0) == 0
+        # No engine paid a rebuild: the cold one never installed.
+        assert summary["rebuild_seconds"] == 0.0
 
     def test_offline_predict_routes_too(self, two_model_store):
         host = make_host(two_model_store, "round-robin")

@@ -20,7 +20,6 @@ from repro.serving import (
     LRUPolicy,
     RebuildEngine,
     RequestQueue,
-    SizeAwarePolicy,
     StaticBatchPolicy,
     make_admission_policy,
 )
@@ -35,10 +34,10 @@ def view(name, nbytes, seconds, codec="c"):
 
 class TestAdmissionPolicies:
     def test_factory_resolves_names_and_instances(self):
-        assert set(ADMISSION_POLICIES) == {"lru", "cost-aware", "size-aware"}
+        assert set(ADMISSION_POLICIES) == {"lru", "cost-aware"}
         assert isinstance(make_admission_policy(None), LRUPolicy)
         assert isinstance(make_admission_policy("cost-aware"), CostAwarePolicy)
-        policy = SizeAwarePolicy()
+        policy = CostAwarePolicy()
         assert make_admission_policy(policy) is policy
         with pytest.raises(ValueError, match="unknown admission policy"):
             make_admission_policy("nope")
@@ -48,14 +47,6 @@ class TestAdmissionPolicies:
         resident = [view("old", 10, 1.0), view("new", 10, 1.0)]
         assert policy.admit(view("x", 10, 1.0), resident, 0)
         assert policy.victim(view("x", 10, 1.0), resident) == "old"
-
-    def test_size_aware_evicts_largest(self):
-        policy = SizeAwarePolicy()
-        resident = [view("small", 10, 1.0), view("big", 100, 1.0)]
-        assert policy.victim(view("x", 10, 1.0), resident) == "big"
-        # Ties break toward the least recently used.
-        resident = [view("older", 50, 1.0), view("newer", 50, 1.0)]
-        assert policy.victim(view("x", 10, 1.0), resident) == "older"
 
     def test_cost_aware_evicts_cheapest_density_first(self):
         policy = CostAwarePolicy()

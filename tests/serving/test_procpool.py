@@ -40,7 +40,7 @@ from repro.serving.procpool import (
     WorkerSpec,
 )
 
-from tests.serving.conftest import FAST, build_model
+from tests.serving.conftest import FAST, build_model, publish_mixed
 
 
 @pytest.fixture
@@ -110,7 +110,8 @@ class TestProcessServing:
 
 
 def publish_codec_zoo(store: ArtifactStore):
-    """One bundle per registered codec; returns the bundle names."""
+    """One bundle per registered codec plus one mixing two codecs;
+    returns the bundle names."""
     model = build_model(seed=0)
     _, report = apply_smartexchange(model, FAST, model_name="z-se")
     store.publish(report, FAST, model=model)
@@ -123,7 +124,10 @@ def publish_codec_zoo(store: ArtifactStore):
     ]:
         report = compressor.compress(build_model(seed=0), bundle)
         store.publish_compressed(report, model=build_model(seed=0))
-    return ["z-se", "z-dense", "z-quant", "z-prune", "z-pow2", "z-fp8"]
+    publish_mixed(store, build_model(seed=0), "z-mixed")
+    return [
+        "z-se", "z-dense", "z-quant", "z-prune", "z-pow2", "z-fp8", "z-mixed",
+    ]
 
 
 class TestBackendParity:
@@ -132,7 +136,7 @@ class TestBackendParity:
     ):
         store = ArtifactStore(tmp_path / "zoo")
         bundles = publish_codec_zoo(store)
-        assert len(bundles) == 6
+        assert len(bundles) == 7
         registry = ModelRegistry(store)
         inputs = list(rng.normal(size=(8, 3, 8, 8)))
         codecs = set()
@@ -152,7 +156,7 @@ class TestBackendParity:
                     np.stack(threaded),
                     err_msg=f"backend outputs diverged for {bundle}",
                 )
-        assert len(codecs) == 6
+        assert "mixed" in codecs and len(codecs) == 7
         assert shm_segments() == ()
 
 

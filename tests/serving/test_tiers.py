@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.costs import CodecCostModel
 from repro.serving import (
+    ArtifactStore,
     CompressedRamTier,
     DiskSpillTier,
     LRUPolicy,
@@ -12,6 +14,8 @@ from repro.serving import (
     make_tiers,
 )
 from repro.serving.tiers import compress_dense, decompress_dense
+
+from tests.serving.conftest import build_mixed_model, publish_mixed
 
 
 @pytest.fixture
@@ -311,6 +315,38 @@ class TestEngineTierIntegration:
         counts = engine.stats.tier_hit_counts()
         assert list(counts) == ["dense-ram", "compressed-ram", "disk", "rebuild"]
         assert sum(counts.values()) == engine.stats.accesses
+
+    def test_lower_tiers_absorb_what_dense_only_rebuilds(self, tmp_path):
+        store = ArtifactStore(tmp_path / "artifacts")
+        manifest = publish_mixed(store, build_mixed_model(seed=0), "mixed")
+        handle = ModelRegistry(store).get(manifest.name)
+        rebuilds = {}
+        for tiers in (None, "compressed,disk"):
+            # Seeded, frozen rates keep every admission and demotion
+            # decision independent of how fast this host decodes.
+            model = CodecCostModel()
+            model.seed("smartexchange", 1e-7)
+            model.seed("quant-linear", 1e-9)
+            model.observe = model.observe_tier_access = lambda *a, **k: 0.0
+            engine = RebuildEngine(
+                payloads=handle.payloads,
+                specs=handle.layer_specs,
+                # Too small for the big conv: dense-only re-decodes it.
+                capacity_bytes=int(0.6 * handle.total_dense_bytes),
+                policy="cost-aware",
+                cost_model=model,
+                tiers=tiers,
+                spill_dir=str(tmp_path / "spill"),
+            )
+            for _ in range(2):
+                engine.warm()
+            engine.reset_stats()
+            for _ in range(4):
+                engine.warm()
+            rebuilds[tiers] = engine.stats.rebuilds
+            engine.close()
+        assert rebuilds[None] > 0
+        assert rebuilds["compressed,disk"] == 0
 
     def test_negative_savings_gate_blocks_demotion(self, handle):
         from repro.costs import CodecCostModel

@@ -8,42 +8,19 @@ dominates fixture time.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro import nn
-from repro.codecs import SmartExchangeCodec, get_codec
 from repro.core import SmartExchangeConfig
 from repro.serving import ArtifactStore, ModelRegistry
 
+from tests.serving.conftest import build_mixed_model, publish_mixed
+
 MODEL_NAME = "cnn"
-
-
-def build_mixed_model(seed: int = 0) -> nn.Module:
-    rng = np.random.default_rng(seed)
-    return nn.Sequential(
-        nn.Conv2d(3, 16, 3, padding=1, bias=False, rng=rng),
-        nn.ReLU(),
-        nn.MaxPool2d(2),
-        nn.Conv2d(16, 32, 3, padding=1, bias=False, rng=rng),
-        nn.ReLU(),
-        nn.GlobalAvgPool2d(),
-        nn.Flatten(),
-        nn.Linear(32, 10, rng=rng),
-    )
 
 
 @pytest.fixture(scope="module")
 def mixed_registry(tmp_path_factory) -> ModelRegistry:
     store = ArtifactStore(tmp_path_factory.mktemp("harness") / "artifacts")
-    model = build_mixed_model(seed=0)
     config = SmartExchangeConfig(max_iterations=4, target_row_sparsity=0.5)
-    se, ql = SmartExchangeCodec(config), get_codec("quant-linear")
-    payloads = {}
-    for name, module in model.named_modules():
-        if isinstance(module, nn.Conv2d):
-            payloads[name] = se.encode(module.weight.data)
-        elif isinstance(module, nn.Linear):
-            payloads[name] = ql.encode(module.weight.data)
-    store.publish_payloads(payloads, name=MODEL_NAME, model=model)
+    publish_mixed(store, build_mixed_model(seed=0), MODEL_NAME, config=config)
     return ModelRegistry(store)

@@ -8,7 +8,8 @@ from repro.workloads import (
     SweepConfig,
     UniformScenario,
 )
-from tests.workloads.conftest import MODEL_NAME, build_mixed_model
+from tests.serving.conftest import build_mixed_model
+from tests.workloads.conftest import MODEL_NAME
 
 
 @pytest.fixture(scope="module")
