@@ -43,7 +43,6 @@ from repro.datasets import synthetic_cifar10
 from repro.observability import Observability, TraceReader, TraceRecorder
 from repro.serving import (
     ArtifactStore,
-    AsyncInferenceEngine,
     InferenceEngine,
     ModelRegistry,
     ServingHost,
@@ -109,10 +108,15 @@ def main() -> None:
         print("and once more through the asyncio front door ...")
 
         async def serve_async():
-            async with AsyncInferenceEngine(engine, workers=2) as serving:
-                return await serving.predict_many(samples)
+            return await asyncio.gather(
+                *(engine.submit_async(sample) for sample in samples)
+            )
 
-        from_async = asyncio.run(serve_async())
+        engine.start(workers=2)
+        try:
+            from_async = asyncio.run(serve_async())
+        finally:
+            engine.stop()
 
         model.eval()
         direct = nn.predict(model, dataset.test_images[:16]).argmax(axis=1)

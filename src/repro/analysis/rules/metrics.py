@@ -33,7 +33,7 @@ _INSTRUMENT_METHODS = {"counter", "gauge", "histogram"}
 _NAME_RE = re.compile(r"^repro_[a-z0-9]+_[a-z0-9_]*[a-z0-9]$")
 
 #: Function-name prefixes inside which ``Counter.set``/``dec`` is the
-#: documented deliberate departure (reset paths, property setters).
+#: documented deliberate departure (reset paths).
 _RESET_CONTEXTS = ("reset",)
 
 
@@ -203,7 +203,7 @@ class CounterDirectionRule(Rule):
     id = "MET002"
     name = "counter-direction"
     description = (
-        "counters are increment-only outside reset()/property-setter paths"
+        "counters are increment-only outside reset() paths"
     )
 
     def visit(self, source: SourceFile) -> Iterable[Finding]:
@@ -268,14 +268,14 @@ class CounterDirectionRule(Rule):
                 source,
                 node,
                 f"counter '{owner_name}' adjusted with .{node.func.attr}() "
-                f"outside a reset()/setter path; counters are "
+                f"outside a reset() path; counters are "
                 f"increment-only",
             )
 
     @staticmethod
     def _in_reset_context(source: SourceFile, node: ast.AST) -> bool:
         """True when ``node`` sits inside a function whose name starts
-        with ``reset`` or that is a ``@X.setter`` property setter."""
+        with ``reset``."""
         assert source.tree is not None
         line = getattr(node, "lineno", 0)
         for candidate in ast.walk(source.tree):
@@ -289,12 +289,6 @@ class CounterDirectionRule(Rule):
                 continue
             if candidate.name.startswith(_RESET_CONTEXTS):
                 return True
-            for decorator in candidate.decorator_list:
-                if (
-                    isinstance(decorator, ast.Attribute)
-                    and decorator.attr == "setter"
-                ):
-                    return True
         return False
 
 

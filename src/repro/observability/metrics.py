@@ -41,11 +41,12 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
 ]
 
-# Fixed latency buckets (seconds) for serving histograms: sub-ms to
-# tens of seconds, roughly 2-2.5x apart like Prometheus' defaults.
-DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+# Latency buckets (seconds) for serving histograms: four bounds per
+# octave from 2**-17 s (7.6 us) to 2**7 s (128 s), 97 in all.  Adjacent
+# bounds are 19% apart, so a quantile interpolated inside one bucket
+# lands within a few percent of the exact sample percentile.
+DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = tuple(
+    2.0 ** (k / 4) for k in range(-17 * 4, 7 * 4 + 1)
 )
 
 Tags = Mapping[str, str]
@@ -167,14 +168,17 @@ class Gauge(_Instrument):
 class Histogram(_Instrument):
     """Fixed-bucket distribution (latencies, batch sizes).
 
-    Stores one count per bucket plus sum and count; export follows the
-    Prometheus convention of *cumulative* ``_bucket{le=...}`` lines
-    with a closing ``le="+Inf"``.
+    Stores one count per bucket plus sum, count, and the smallest and
+    largest finite values seen, so its memory does not grow with the
+    number of observations; :meth:`quantile` reads percentiles back
+    out of the counts.  Export follows the Prometheus convention of
+    *cumulative* ``_bucket{le=...}`` lines with a closing
+    ``le="+Inf"``.
     """
 
     kind = "histogram"
 
-    __slots__ = ("buckets", "_counts", "_sum", "_count")
+    __slots__ = ("buckets", "_counts", "_sum", "_count", "_min", "_max")
 
     def __init__(
         self,
@@ -190,6 +194,8 @@ class Histogram(_Instrument):
         self._counts = [0] * (len(cleaned) + 1)  # final slot = +Inf
         self._sum = 0.0
         self._count = 0
+        self._min = math.inf  # finite observations only
+        self._max = -math.inf
 
     def _bucket(self, value: float) -> int:
         # First bound >= value; NaN compares false everywhere and
@@ -201,22 +207,30 @@ class Histogram(_Instrument):
     def observe(self, value: float) -> None:
         value = float(value)
         index = self._bucket(value)
+        finite = math.isfinite(value)
         with self._lock:
             self._counts[index] += 1
             self._sum += value
             self._count += 1
+            if finite:
+                self._min = min(self._min, value)
+                self._max = max(self._max, value)
 
     def observe_many(self, values: Iterable[float]) -> None:
         """Observe each value in order, under one lock acquisition
-        (same counts and the same float sum as one ``observe`` each)."""
+        (same state and the same float sum as one ``observe`` each)."""
         values = [float(value) for value in values]
         indices = [self._bucket(value) for value in values]
+        finite = [value for value in values if math.isfinite(value)]
         with self._lock:
             counts = self._counts
             for index, value in zip(indices, values):
                 counts[index] += 1
                 self._sum += value
             self._count += len(values)
+            if finite:
+                self._min = min(self._min, *finite)
+                self._max = max(self._max, *finite)
 
     @property
     def count(self) -> int:
@@ -227,6 +241,36 @@ class Histogram(_Instrument):
     def sum(self) -> float:
         with self._lock:
             return self._sum
+
+    def quantile(self, q: float) -> float:
+        """The ``q``-quantile (``0 <= q <= 1``) of the observations.
+
+        Finds the bucket holding rank ``q * count`` and interpolates
+        inside it, geometrically (linearly when the bucket starts at or
+        below zero), between its bounds clamped to the smallest and
+        largest finite values observed: one sample, or many equal
+        samples, come back exactly.  0.0 before any finite observation.
+        """
+        with self._lock:
+            counts = list(self._counts)
+            low, high = self._min, self._max
+        if low > high:
+            return 0.0
+        rank = min(max(q, 0.0), 1.0) * sum(counts)
+        running = 0
+        for index, count in enumerate(counts):
+            if count and running + count >= rank:
+                break
+            running += count
+        bounds = self.buckets
+        lower = max(bounds[index - 1], low) if index else low
+        upper = min(bounds[index], high) if index < len(bounds) else high
+        fraction = (rank - running) / count
+        if lower > 0.0:
+            value = lower * (upper / lower) ** fraction
+        else:
+            value = lower + (upper - lower) * fraction
+        return min(max(value, low), high)
 
     def snapshot(self) -> Dict:
         """Cumulative ``[bound, count]`` pairs plus sum/count."""
@@ -246,6 +290,8 @@ class Histogram(_Instrument):
             self._counts = [0] * (len(self.buckets) + 1)
             self._sum = 0.0
             self._count = 0
+            self._min = math.inf
+            self._max = -math.inf
 
 
 class MetricsRegistry:

@@ -33,7 +33,7 @@ serve through the identical pipeline.
   :class:`CostAwareBatchPolicy`; :class:`RequestQueue`).
 - :mod:`repro.serving.engine` — the batched inference engine
   (:class:`InferenceEngine`), offline, online (worker pool), and async
-  (:class:`AsyncInferenceEngine`) paths.
+  (``submit_async``) paths.
 - :mod:`repro.serving.arena` — compressed payloads placed once into a
   shared-memory segment (:class:`SharedPayloadArena`), attached
   zero-copy and checksum-validated by worker processes
@@ -49,9 +49,10 @@ serve through the identical pipeline.
   to the engine whose expected install cost is lowest right now).
 - :mod:`repro.serving.stats` — throughput / latency percentiles /
   per-worker and per-policy counters / cache behavior /
-  storage-vs-compute telemetry and trade curves (:class:`ServingStats`);
+  storage-vs-compute telemetry (:class:`ServingStats`);
   fleet aggregation for the host (:class:`HostStats`).  Counters are
-  backed by :mod:`repro.observability` metric instruments, so one
+  backed by :mod:`repro.observability` metric instruments, and latency
+  percentiles are read from its bounded histograms, so one
   Prometheus/JSON export reports exactly what the summaries report.
 
 Every engine and host accepts an optional shared
@@ -75,8 +76,9 @@ Typical use::
     rows = [t.result(timeout=5) for t in tickets]
     engine.stop()
 
-    async with AsyncInferenceEngine(engine, workers=4) as serving:
-        rows = await serving.predict_many(samples)
+    engine.start(workers=4)                   # async, inside a coroutine
+    rows = await asyncio.gather(*(engine.submit_async(x) for x in samples))
+    engine.stop()
 
 Cost-model-driven serving (capacity-bounded cache, costed batching)::
 
@@ -87,7 +89,7 @@ Cost-model-driven serving (capacity-bounded cache, costed batching)::
         admission="cost-aware",          # or CostAwarePolicy()
         cost_model=registry.cost_model,  # shared across the fleet
     )
-    print(engine.cost_curve())           # the realized trade
+    print(engine.report())               # the realized trade
 
 Multi-model hosting with cost-aware request routing::
 
@@ -120,11 +122,7 @@ from repro.serving.batching import (
     per_ticket_error,
     stack_batch,
 )
-from repro.serving.engine import (
-    AsyncInferenceEngine,
-    InferenceEngine,
-    ServingError,
-)
+from repro.serving.engine import InferenceEngine, ServingError
 from repro.serving.execute import BatchRun, SkeletonPlan, execute_batch
 from repro.serving.arena import (
     ArenaError,
@@ -178,7 +176,6 @@ from repro.serving.stats import (
     PolicyStats,
     ServingStats,
     WorkerStats,
-    percentiles,
 )
 
 __all__ = [
@@ -218,7 +215,6 @@ __all__ = [
     "per_ticket_error",
     "stack_batch",
     "InferenceEngine",
-    "AsyncInferenceEngine",
     "ServingError",
     "SkeletonPlan",
     "BatchRun",
@@ -244,5 +240,4 @@ __all__ = [
     "HostStats",
     "WorkerStats",
     "PolicyStats",
-    "percentiles",
 ]

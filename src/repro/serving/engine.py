@@ -22,9 +22,8 @@ Three serving paths share one execution core,
   engine's) and eval plan, so forward passes never contend across
   workers; all workers share the engine's (internally locked) rebuild
   cache.
-- **async** — :meth:`submit_async` (or the
-  :class:`AsyncInferenceEngine` wrapper) bridges tickets into asyncio
-  futures for event-loop callers.
+- **async** — :meth:`submit_async` bridges the online path's tickets
+  into asyncio futures for event-loop callers.
 """
 
 from __future__ import annotations
@@ -664,11 +663,6 @@ class InferenceEngine:
             )
         return out
 
-    def cost_curve(self) -> Dict:
-        """The realized storage-vs-compute trade of this engine's cache
-        (see :meth:`ServingStats.cost_curve`)."""
-        return self.stats.cost_curve(self.rebuild.stats)
-
     def layer_cost_estimates(self) -> Dict[str, float]:
         """Per-layer estimated rebuild seconds at current codec rates."""
         return self.rebuild.layer_cost_estimates()
@@ -684,70 +678,3 @@ class InferenceEngine:
             manifest=self.handle.manifest,
             phases=phases,
         )
-
-
-class AsyncInferenceEngine:
-    """asyncio front door over an :class:`InferenceEngine` pool.
-
-    Wraps an engine's online path in coroutines::
-
-        async with AsyncInferenceEngine(engine, workers=4) as serving:
-            rows = await serving.predict_many(samples)
-
-    Worker threads still do the serving; the wrapper only bridges
-    ticket completion into the caller's event loop, so thousands of
-    in-flight requests cost one future each instead of one blocked
-    thread each.
-    """
-
-    def __init__(
-        self,
-        engine: InferenceEngine,
-        workers: int = 1,
-        backend: str = "thread",
-    ) -> None:
-        self.engine = engine
-        self.workers = workers
-        self.backend = backend
-
-    async def __aenter__(self) -> "AsyncInferenceEngine":
-        return self.start()
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.stop()
-
-    def start(self) -> "AsyncInferenceEngine":
-        self.engine.start(workers=self.workers, backend=self.backend)
-        return self
-
-    async def stop(self, timeout: float = 10.0) -> None:
-        # stop() joins threads; keep the event loop responsive.
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, lambda: self.engine.stop(timeout))
-
-    async def predict(self, sample: np.ndarray) -> np.ndarray:
-        """One sample in, one output row out."""
-        return await self.engine.submit_async(sample)
-
-    async def predict_many(
-        self, samples: Sequence[np.ndarray]
-    ) -> List[np.ndarray]:
-        """Submit all samples concurrently; rows return in order.
-
-        If any sample fails, the first failure is raised — after every
-        future has completed, so no exception goes unretrieved.  A
-        submit that fails mid-loop (engine stopping) first drains the
-        futures already in flight for the same reason.
-        """
-        futures: List["asyncio.Future[np.ndarray]"] = []
-        try:
-            for sample in samples:
-                futures.append(self.engine.submit_async(sample))
-        except BaseException:
-            await asyncio.gather(*futures, return_exceptions=True)
-            raise
-        rows = await asyncio.gather(*futures, return_exceptions=True)
-        for row in rows:
-            if isinstance(row, BaseException):
-                raise row
-        return list(rows)

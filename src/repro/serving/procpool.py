@@ -29,8 +29,9 @@ every queueing contract intact:
 Cache counters from each child ride back on every reply as cumulative
 totals; the parent folds the deltas into its engine's
 ``rebuild.stats`` so ``summary()`` reports fleet totals, and (with
-observability enabled) mirrors each child's totals into a per-worker
-``source``-labelled metrics registry.
+observability enabled) folds the same deltas into a per-worker-slot
+``source``-labelled metrics registry, whose counters keep counting
+across that slot's respawns.
 """
 
 from __future__ import annotations
@@ -729,13 +730,9 @@ class ProcessPool:
                 for key in STATS_KEYS
             }
             slot.last_totals = dict(totals)
-            stats = engine.rebuild.stats
-            for key in STATS_KEYS:
-                if delta[key]:
-                    setattr(stats, key, getattr(stats, key) + delta[key])
+            engine.rebuild.stats.fold(delta)
             if slot.mirror is not None:
-                for key in STATS_KEYS:
-                    setattr(slot.mirror, key, totals.get(key, 0))
+                slot.mirror.fold(delta)
         ledger = engine.ledger
         if ledger is not None:
             shares = ledger.shares([r.tenant for r in requests])

@@ -24,8 +24,8 @@ compute once; cold layers are evicted and rebuilt on their next access.
 The cache counters expose the realized storage-vs-compute trade:
 ``bytes_saved`` is the dense footprint *not* held resident,
 ``rebuilt_bytes`` is the compute paid for it, and ``stats.curve``
-samples (accesses, resident bytes, cumulative rebuild seconds) so
-:meth:`repro.serving.ServingStats.cost_curve` can plot the trade.
+samples (accesses, resident bytes, cumulative rebuild seconds) over
+the access stream.
 """
 
 from __future__ import annotations
@@ -61,13 +61,13 @@ _CURVE_LIMIT = 4096
 class RebuildCacheStats:
     """Counters for the rebuild-on-read cache.
 
-    The scalar counters are metric-backed properties over
-    ``repro_rebuild_*`` instruments in a
+    The scalar counters are read-only views of ``repro_rebuild_*``
+    instruments in a
     :class:`~repro.observability.metrics.MetricsRegistry` (pass
     ``metrics=`` to share the engine's registry), so a Prometheus
-    export reports exactly what :meth:`as_dict` reports.  ``+=``
-    mutation keeps working through the setters; callers hold the
-    rebuild engine's lock as before.
+    export reports exactly what :meth:`as_dict` reports.  The rebuild
+    engine writes them with each instrument's ``inc()``, holding its
+    lock.
     """
 
     #: Default EWMA weight for per-layer hit rates: ~0.8^n decay, so a
@@ -116,6 +116,18 @@ class RebuildCacheStats:
             "repro_rebuild_est_seconds_saved_total",
             "estimated rebuild seconds cache hits avoided",
         )
+        # The scalar counters by property name, as :meth:`fold` takes
+        # them.
+        self._scalars = {
+            "hits": self._hits,
+            "misses": self._misses,
+            "evictions": self._evictions,
+            "rejected": self._rejected,
+            "rebuilds": self._rebuilds,
+            "rebuilt_bytes": self._rebuilt_bytes,
+            "rebuild_seconds": self._rebuild_seconds,
+            "est_seconds_saved": self._est_seconds_saved,
+        }
         # (accesses, cached_bytes, cumulative rebuild_seconds) samples,
         # one per rebuild — the realized storage-vs-compute trade over
         # time.
@@ -215,70 +227,38 @@ class RebuildCacheStats:
         out["rebuild"] = self.rebuilds
         return out
 
-    # -- metric-backed scalar counters ---------------------------------
+    # -- metric-backed scalar counters (read-only) ----------------------
     @property
     def hits(self) -> int:
         return int(self._hits.value)
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._hits.set(value)
 
     @property
     def misses(self) -> int:
         return int(self._misses.value)
 
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self._misses.set(value)
-
     @property
     def evictions(self) -> int:
         return int(self._evictions.value)
-
-    @evictions.setter
-    def evictions(self, value: int) -> None:
-        self._evictions.set(value)
 
     @property
     def rejected(self) -> int:
         return int(self._rejected.value)
 
-    @rejected.setter
-    def rejected(self, value: int) -> None:
-        self._rejected.set(value)
-
     @property
     def rebuilds(self) -> int:
         return int(self._rebuilds.value)
-
-    @rebuilds.setter
-    def rebuilds(self, value: int) -> None:
-        self._rebuilds.set(value)
 
     @property
     def rebuilt_bytes(self) -> int:
         return int(self._rebuilt_bytes.value)
 
-    @rebuilt_bytes.setter
-    def rebuilt_bytes(self, value: int) -> None:
-        self._rebuilt_bytes.set(value)
-
     @property
     def rebuild_seconds(self) -> float:
         return self._rebuild_seconds.value
 
-    @rebuild_seconds.setter
-    def rebuild_seconds(self, value: float) -> None:
-        self._rebuild_seconds.set(value)
-
     @property
     def est_seconds_saved(self) -> float:
         return self._est_seconds_saved.value
-
-    @est_seconds_saved.setter
-    def est_seconds_saved(self, value: float) -> None:
-        self._est_seconds_saved.set(value)
 
     def reset(self) -> None:
         """Zero every counter *in place* (object identity kept).
@@ -288,16 +268,7 @@ class RebuildCacheStats:
         swap-a-fresh-object reset could split one access's miss and
         rebuild counts across two stats objects.
         """
-        for instrument in (
-            self._hits,
-            self._misses,
-            self._evictions,
-            self._rejected,
-            self._rebuilds,
-            self._rebuilt_bytes,
-            self._rebuild_seconds,
-            self._est_seconds_saved,
-        ):
+        for instrument in self._scalars.values():
             instrument.reset()
         for counter in self._tier_counters.values():
             counter.reset()
@@ -305,6 +276,14 @@ class RebuildCacheStats:
         self.layer_hits.clear()
         self.layer_accesses.clear()
         self.layer_hit_ewma.clear()
+
+    def fold(self, deltas: Mapping[str, float]) -> None:
+        """Add increments to the scalar counters, keyed by property name
+        (``"hits"``, ``"rebuild_seconds"``, ...): how the process pool
+        folds its workers' counters into the parent's stats."""
+        for key, amount in deltas.items():
+            if amount:
+                self._scalars[key].inc(amount)
 
     @property
     def accesses(self) -> int:
@@ -778,10 +757,10 @@ class RebuildEngine:
             with self._lock:
                 cached = self._cache.get(name)
                 if cached is not None:
-                    self.stats.hits += 1
+                    self.stats._hits.inc()
                     self.stats.record_access(name, hit=True)
                     saved = self._estimate_seconds(name)
-                    self.stats.est_seconds_saved += saved
+                    self.stats._est_seconds_saved.inc(saved)
                     if self.ledger is not None:
                         self.ledger.credit_saved(saved)
                     self._cache.move_to_end(name)
@@ -793,7 +772,7 @@ class RebuildEngine:
                 flight = self._inflight.get(name)
                 if flight is None:
                     flight = self._inflight[name] = _InFlightRebuild()
-                    self.stats.misses += 1
+                    self.stats._misses.inc()
                     self.stats.record_access(name, hit=False)
                     # This thread owns the miss: claim the layer's blob
                     # from the closest lower tier (popped under the
@@ -808,10 +787,10 @@ class RebuildEngine:
             flight.event.wait()
             if flight.weight is not None:
                 with self._lock:
-                    self.stats.hits += 1
+                    self.stats._hits.inc()
                     self.stats.record_access(name, hit=True)
                     saved = self._estimate_seconds(name)
-                    self.stats.est_seconds_saved += saved
+                    self.stats._est_seconds_saved.inc(saved)
                     if self.ledger is not None:
                         self.ledger.credit_saved(saved)
                 if info is not None:
@@ -852,9 +831,9 @@ class RebuildEngine:
         flight.weight = weight  # published before event.set()
         with self._lock:
             if source == "rebuild":
-                self.stats.rebuilds += 1
-                self.stats.rebuilt_bytes += weight.nbytes
-                self.stats.rebuild_seconds += seconds
+                self.stats._rebuilds.inc()
+                self.stats._rebuilt_bytes.inc(weight.nbytes)
+                self.stats._rebuild_seconds.inc(seconds)
                 if self.ledger is not None:
                     # Same event, same seconds: the tenant split of the
                     # fleet counter, so the two totals reconcile.
@@ -867,7 +846,7 @@ class RebuildEngine:
                 fault_saved = max(
                     0.0, self._estimate_seconds(name) - seconds
                 )
-                self.stats.est_seconds_saved += fault_saved
+                self.stats._est_seconds_saved.inc(fault_saved)
                 if self.ledger is not None:
                     self.ledger.credit_saved(fault_saved)
             verdict = self._admit(name, weight)
@@ -939,7 +918,7 @@ class RebuildEngine:
         candidate = self._view(name, nbytes)
         free = self.capacity_bytes - self._cached_bytes
         if not self.policy.admit(candidate, self._resident_views(), free):
-            self.stats.rejected += 1
+            self.stats._rejected.inc()
             self._demote(name, weight)
             return "rejected"
         self._cache[name] = weight
@@ -958,7 +937,7 @@ class RebuildEngine:
                     victim = resident[0].name
             evicted = self._cache.pop(victim)
             self._cached_bytes -= evicted.nbytes
-            self.stats.evictions += 1
+            self.stats._evictions.inc()
             self._release_residency(victim)
             self._demote(victim, evicted)
         self._cached_bytes_gauge.set(self._cached_bytes)

@@ -13,24 +13,20 @@ rather than ad-hoc fields: each accumulator allocates typed instruments
 (``repro_serving_*`` counters and histograms, per-worker/per-policy
 slices as label dimensions) and reads its summary numbers back out of
 them, so the registry's ``to_prometheus_text()`` export and the
-``summary()`` dict can never drift apart.  Exact latency percentiles
-still come from the raw sample lists (histograms quantize); the
-histograms are the export/streaming view of the same observations.
+``summary()`` dict can never drift apart.  Latency percentiles are
+read from the same log-bucketed histograms the export carries
+(:meth:`~repro.observability.metrics.Histogram.quantile`), so the
+accumulator's memory stays fixed however many requests it records.
 
 Counters are also sliced per batch policy (``record_batch``'s
-``policy`` tag), and :meth:`ServingStats.cost_curve` summarizes the
-rebuild engine's sampled trade curve — resident bytes vs cumulative
-rebuild seconds over the access stream — which is how the realized
-storage-vs-compute trade of an admission policy gets plotted.
+``policy`` tag) and per pool worker.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Optional, Sequence
 
 from repro.observability.metrics import MetricsRegistry
 from repro.serving.artifacts import ArtifactManifest
@@ -43,40 +39,13 @@ LATENCY_PERCENTILES = (50.0, 90.0, 99.0)
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
-def percentiles(
-    values: Sequence[float], points: Sequence[float] = LATENCY_PERCENTILES
-) -> Dict[str, float]:
-    """{"p50": ..., "p90": ..., ...} over the finite samples.
-
-    Well-defined on the edge cases a live accumulator hits:
-
-    - no samples (empty list, empty array) → all points 0.0;
-    - one sample → every point is that sample (nothing to
-      interpolate);
-    - arrays of any shape are flattened, and non-finite samples
-      (NaN/inf from a failed timer) are dropped rather than poisoning
-      every percentile.
-    """
-    array = np.asarray(values, dtype=np.float64).ravel()
-    if array.size:
-        array = array[np.isfinite(array)]
-    if array.size == 0:
-        return {f"p{point:g}": 0.0 for point in points}
-    if array.size == 1:
-        only = float(array[0])
-        return {f"p{point:g}": only for point in points}
-    return {
-        f"p{point:g}": float(np.percentile(array, point)) for point in points
-    }
-
-
 class WorkerStats:
     """Per-worker slice of the engine's counters (one pool member).
 
-    The three fields are metric-backed properties over
+    The three fields are read-only views of
     ``repro_serving_worker_*`` counters tagged with the worker index,
     so the Prometheus export carries the same per-worker slices the
-    summary prints.  ``+=`` keeps working through the setters.
+    summary prints; :meth:`record` is the one writer.
     """
 
     PREFIX = "repro_serving_worker"
@@ -105,25 +74,18 @@ class WorkerStats:
     def batches(self) -> int:
         return int(self._batches.value)
 
-    @batches.setter
-    def batches(self, value: int) -> None:
-        self._batches.set(value)
-
     @property
     def requests(self) -> int:
         return int(self._requests.value)
-
-    @requests.setter
-    def requests(self, value: int) -> None:
-        self._requests.set(value)
 
     @property
     def busy_seconds(self) -> float:
         return self._busy.value
 
-    @busy_seconds.setter
-    def busy_seconds(self, value: float) -> None:
-        self._busy.set(value)
+    def record(self, batch_size: int, latency_s: float) -> None:
+        self._batches.inc()
+        self._requests.inc(batch_size)
+        self._busy.inc(latency_s)
 
     def reset(self) -> None:
         self._batches.reset()
@@ -167,8 +129,6 @@ class ServingStats:
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self._lock = threading.Lock()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.request_latencies_s: List[float] = []
-        self.batch_latencies_s: List[float] = []
         self.per_worker: Dict[int, WorkerStats] = {}
         self.per_policy: Dict[str, PolicyStats] = {}
         self._window_start: Optional[float] = None
@@ -204,7 +164,7 @@ class ServingStats:
     def reset(self) -> None:
         """Zero everything atomically under the stats lock.
 
-        Every piece of state — sample lists, instruments, per-worker /
+        Every piece of state — instruments, per-worker /
         per-policy slices, and the wall-clock window anchors — is
         cleared inside one critical section, so a concurrent
         ``record_batch`` lands either entirely before or entirely
@@ -214,8 +174,6 @@ class ServingStats:
         freshly empty summary.
         """
         with self._lock:
-            self.request_latencies_s = []
-            self.batch_latencies_s = []
             for slice_ in self.per_worker.values():
                 slice_.reset()
             for slice_ in self.per_policy.values():
@@ -243,24 +201,22 @@ class ServingStats:
         worker: Optional[int] = None,
         policy: Optional[str] = None,
     ) -> None:
+        batch_size, latency_s = int(batch_size), float(latency_s)
         end = time.perf_counter()
-        start = end - float(latency_s)
+        start = end - latency_s
         with self._lock:
-            self.batch_latencies_s.append(float(latency_s))
-            self._requests.inc(int(batch_size))
+            self._requests.inc(batch_size)
             self._batches.inc()
-            self._busy.inc(float(latency_s))
-            self._batch_latency.observe(float(latency_s))
-            self._batch_size.observe(int(batch_size))
+            self._busy.inc(latency_s)
+            self._batch_latency.observe(latency_s)
+            self._batch_size.observe(batch_size)
             if policy is not None:
                 slice_ = self.per_policy.get(policy)
                 if slice_ is None:
                     slice_ = self.per_policy[policy] = PolicyStats(
                         self.metrics, tags={"policy": policy}
                     )
-                slice_.batches += 1
-                slice_.requests += int(batch_size)
-                slice_.busy_seconds += float(latency_s)
+                slice_.record(batch_size, latency_s)
             if worker is not None:
                 # The wall window tracks pool serving only, so offline
                 # batches (and the idle gaps around them) never dilute
@@ -274,9 +230,7 @@ class ServingStats:
                     stats = self.per_worker[worker] = WorkerStats(
                         self.metrics, tags={"worker": str(worker)}
                     )
-                stats.batches += 1
-                stats.requests += int(batch_size)
-                stats.busy_seconds += float(latency_s)
+                stats.record(batch_size, latency_s)
 
     def record_request(self, latency_s: float) -> None:
         """End-to-end latency of one request (queueing + execution)."""
@@ -285,10 +239,8 @@ class ServingStats:
     def record_requests(self, latencies_s: Sequence[float]) -> None:
         """End-to-end latencies of a batch's requests, recorded under
         one lock acquisition and one histogram pass."""
-        latencies = [float(latency) for latency in latencies_s]
         with self._lock:
-            self.request_latencies_s.extend(latencies)
-            self._request_latency.observe_many(latencies)
+            self._request_latency.observe_many(latencies_s)
 
     def record_failed(self, count: int = 1) -> None:
         """Requests whose batch raised instead of completing."""
@@ -399,10 +351,14 @@ class ServingStats:
                     name: stats.as_dict()
                     for name, stats in sorted(self.per_policy.items())
                 }
-            for key, value in percentiles(self.request_latencies_s).items():
-                out[f"request_latency_{key}_ms"] = value * 1e3
-            for key, value in percentiles(self.batch_latencies_s).items():
-                out[f"batch_latency_{key}_ms"] = value * 1e3
+            for kind, histogram in (
+                ("request", self._request_latency),
+                ("batch", self._batch_latency),
+            ):
+                for point in LATENCY_PERCENTILES:
+                    out[f"{kind}_latency_p{point:g}_ms"] = (
+                        histogram.quantile(point / 100.0) * 1e3
+                    )
         if rebuild is not None:
             for key, value in rebuild.as_dict().items():
                 out[f"rebuild_{key}"] = value
@@ -483,38 +439,6 @@ class ServingStats:
                 f"p95={phase['p95_ms']:.3g}ms total={phase['total_s']:.4g}s"
             )
         return "\n".join(lines)
-
-    def cost_curve(
-        self, rebuild: RebuildCacheStats, max_points: int = 64
-    ) -> Dict:
-        """The realized storage-vs-compute trade of one rebuild cache.
-
-        Downsamples the rebuild engine's sampled curve — one point per
-        rebuild: (accesses so far, resident dense bytes, cumulative
-        rebuild seconds) — to at most ``max_points``, and attaches the
-        headline numbers a policy comparison needs: total rebuild
-        seconds paid, the estimated seconds cache hits avoided, and how
-        many admissions the policy declined.
-        """
-        points = list(rebuild.curve)
-        if len(points) > max_points:
-            keep = np.linspace(0, len(points) - 1, max_points).astype(int)
-            points = [points[i] for i in keep]
-        return {
-            "policy": rebuild.policy,
-            "rebuild_seconds": rebuild.rebuild_seconds,
-            "est_seconds_saved": rebuild.est_seconds_saved,
-            "rejected": rebuild.rejected,
-            "evictions": rebuild.evictions,
-            "points": [
-                {
-                    "accesses": accesses,
-                    "cached_bytes": cached_bytes,
-                    "rebuild_seconds": seconds,
-                }
-                for accesses, cached_bytes, seconds in points
-            ],
-        }
 
 
 class HostStats:

@@ -45,8 +45,10 @@ class SweepConfig:
     ``capacity_fraction`` sizes each engine's dense rebuild cache as a
     fraction of its bundle's dense bytes (``None`` = unbounded);
     ``batch`` picks the batch policy family (``static`` /
-    ``cost-aware``), which in offline mode sets how
-    :func:`~repro.workloads.coalesce_schedule` groups install passes.
+    ``cost-aware``) and applies to live runs only: offline replay
+    always groups install passes with
+    :func:`~repro.workloads.coalesce_schedule` under
+    ``max_batch_size`` / ``max_wait_s``.
     """
 
     name: str
@@ -140,14 +142,7 @@ class ExperimentHarness:
         batched = coalesce_schedule(
             rows,
             max_batch_size=config.max_batch_size,
-            # The offline stand-in for cost-aware batching: with an
-            # expensive cache a cost-aware policy waits longer, so
-            # batches grow toward the cap.
-            max_wait_s=(
-                config.max_wait_s * 10
-                if config.batch == "cost-aware"
-                else config.max_wait_s
-            ),
+            max_wait_s=config.max_wait_s,
         )
         totals = {
             "rebuild_s": 0.0,

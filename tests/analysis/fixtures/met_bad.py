@@ -1,6 +1,7 @@
 """Metrics-schema violations: a name without the ``repro_`` prefix, a
-counter decremented outside any reset path, and one metric name
-registered with two different label-key schemas."""
+counter decremented outside any reset path, a property setter that
+overwrites a counter, and one metric name registered with two
+different label-key schemas."""
 
 
 class BadStats:
@@ -12,6 +13,14 @@ class BadStats:
 
     def rollback(self, count):
         self.requests.dec(count)
+
+    @property
+    def served(self):
+        return self.requests.value
+
+    @served.setter
+    def served(self, value):
+        self.requests.set(value)
 
 
 def register_by_engine(registry, engine):

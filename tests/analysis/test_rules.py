@@ -73,8 +73,17 @@ class TestMetricsSchema:
 
     def test_counter_decrement_flagged(self):
         findings = run(["MET002"], "met_bad.py")
-        assert len(findings) == 1
-        assert ".dec()" in findings[0].message
+        decrements = [f for f in findings if ".dec()" in f.message]
+        assert len(decrements) == 1
+        assert "'requests'" in decrements[0].message
+
+    def test_counter_set_in_property_setter_flagged(self):
+        # Only reset paths may overwrite a counter: a property setter
+        # that calls .set() is flagged like any other writer.
+        findings = run(["MET002"], "met_bad.py")
+        assert len(findings) == 2
+        (overwrite,) = [f for f in findings if ".set()" in f.message]
+        assert "'requests'" in overwrite.message
 
     def test_label_schema_divergence_flagged(self):
         findings = run(["MET003"], "met_bad.py")

@@ -6,6 +6,7 @@ import json
 import math
 import threading
 
+import numpy as np
 import pytest
 
 from repro.observability import (
@@ -100,6 +101,69 @@ class TestHistogram:
         snapshot = histogram.snapshot()
         assert snapshot["count"] == 0
         assert snapshot["sum"] == 0.0
+
+
+class TestHistogramQuantile:
+    @staticmethod
+    def latency_histogram() -> Histogram:
+        return MetricsRegistry().histogram("repro_test_latency_seconds")
+
+    def test_empty_histogram_is_zero(self):
+        histogram = self.latency_histogram()
+        assert [histogram.quantile(q) for q in (0.0, 0.5, 1.0)] == [0.0] * 3
+
+    def test_single_sample_comes_back_exactly(self):
+        histogram = self.latency_histogram()
+        histogram.observe(0.0123)
+        for q in (0.0, 0.5, 0.9, 0.99, 1.0):
+            assert histogram.quantile(q) == 0.0123
+
+    def test_equal_samples_come_back_exactly(self):
+        histogram = self.latency_histogram()
+        histogram.observe_many([0.25] * 1000)
+        assert histogram.quantile(0.5) == 0.25
+        assert histogram.quantile(0.99) == 0.25
+
+    @pytest.mark.parametrize("sigma", [0.2, 0.4, 1.0])
+    def test_lognormal_quantiles_track_numpy(self, sigma):
+        rng = np.random.default_rng(0)
+        samples = rng.lognormal(mean=np.log(0.005), sigma=sigma, size=20_000)
+        histogram = self.latency_histogram()
+        histogram.observe_many(samples)
+        for point in (50, 90, 99):
+            assert histogram.quantile(point / 100) == pytest.approx(
+                np.percentile(samples, point), rel=0.05
+            )
+
+    def test_non_finite_samples_stay_out_of_the_quantiles(self):
+        histogram = self.latency_histogram()
+        histogram.observe_many([math.nan, 1.0, math.inf, 3.0, -math.inf])
+        for q in (0.0, 0.5, 1.0):
+            assert -math.inf < histogram.quantile(q) < math.inf
+        assert histogram.quantile(1.0) == 3.0
+
+    def test_reset_clears_min_and_max(self):
+        histogram = self.latency_histogram()
+        histogram.observe_many([0.001, 10.0])
+        histogram.reset()
+        assert histogram.quantile(1.0) == 0.0
+        histogram.observe(0.5)
+        assert histogram.quantile(0.0) == histogram.quantile(1.0) == 0.5
+
+    def test_prometheus_buckets_stay_cumulative_to_inf(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("repro_test_latency_seconds")
+        histogram.observe_many([1e-6, 0.003, 0.003, 0.2, 500.0])
+        lines = [
+            line
+            for line in registry.to_prometheus_text().splitlines()
+            if line.startswith("repro_test_latency_seconds_bucket")
+        ]
+        assert len(lines) == len(DEFAULT_LATENCY_BUCKETS) + 1
+        counts = [int(line.rsplit(" ", 1)[1]) for line in lines]
+        assert counts == sorted(counts)
+        assert lines[-1] == 'repro_test_latency_seconds_bucket{le="+Inf"} 5'
+        assert counts[-2] == 4  # 500 s is past the last finite bound
 
 
 class TestRegistry:

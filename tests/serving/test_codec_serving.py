@@ -206,9 +206,6 @@ class TestCodecZoo:
         summary = online.summary()
         assert summary["batch_policy"] == "cost-aware"
         assert "cost-aware" in summary["per_policy"]
-        curve = online.cost_curve()
-        assert curve["policy"] == admission
-        assert curve["rebuild_seconds"] >= 0
 
     def test_lazy_loads_only_touched_layers(self, codec_zoo):
         store, _ = codec_zoo

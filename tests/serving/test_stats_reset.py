@@ -1,52 +1,19 @@
-"""percentiles() edge cases and atomic reset-while-serving behavior."""
+"""ServingStats recording, bounded memory, and atomic reset-while-serving
+behavior."""
 
 from __future__ import annotations
 
+import gc
 import threading
+import tracemalloc
 
 import numpy as np
-import pytest
 
 from repro.observability import MetricsRegistry
 from repro.serving import ModelRegistry, ServingStats, StaticBatchPolicy
 from repro.serving.engine import InferenceEngine
-from repro.serving.stats import percentiles
 
 from tests.serving.conftest import build_model
-
-
-class TestPercentilesEdgeCases:
-    def test_empty_list_is_all_zeros(self):
-        assert percentiles([]) == {"p50": 0.0, "p90": 0.0, "p99": 0.0}
-
-    def test_empty_ndarray_is_all_zeros(self):
-        # Regression: `if not values` raised on a multi-element array
-        # and an empty array slipped through np.percentile to a warning.
-        assert percentiles(np.array([])) == {"p50": 0.0, "p90": 0.0, "p99": 0.0}
-
-    def test_single_sample_is_every_point(self):
-        assert percentiles([0.25]) == {"p50": 0.25, "p90": 0.25, "p99": 0.25}
-        assert percentiles(np.array([0.25]))["p99"] == 0.25
-
-    def test_multi_element_ndarray_accepted(self):
-        values = np.array([1.0, 2.0, 3.0, 4.0])
-        out = percentiles(values)
-        assert out["p50"] == pytest.approx(np.percentile(values, 50.0))
-        assert out["p90"] == pytest.approx(np.percentile(values, 90.0))
-
-    def test_non_finite_samples_dropped(self):
-        out = percentiles([np.nan, 1.0, np.inf, 3.0, -np.inf])
-        assert out["p50"] == pytest.approx(2.0)
-        # All-non-finite degrades to the empty case, not NaN output.
-        assert percentiles([np.nan, np.inf])["p50"] == 0.0
-
-    def test_arrays_are_flattened(self):
-        out = percentiles(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert out["p50"] == pytest.approx(2.5)
-
-    def test_custom_points(self):
-        out = percentiles([1.0], points=(5.0, 99.9))
-        assert out == {"p5": 1.0, "p99.9": 1.0}
 
 
 class TestRecordRequests:
@@ -70,8 +37,34 @@ class TestRecordRequests:
     def test_empty_batch_records_nothing(self):
         stats = ServingStats(metrics=MetricsRegistry())
         stats.record_requests([])
-        assert stats.request_latencies_s == []
+        (latency,) = stats.metrics.series("repro_serving_request_latency_seconds")
+        assert latency.count == 0
         assert stats.summary()["request_latency_p50_ms"] == 0.0
+
+
+class TestBoundedMemory:
+    def test_memory_does_not_grow_with_request_count(self):
+        stats = ServingStats(metrics=MetricsRegistry())
+        # Warm up: the per-worker and per-policy slices exist after the
+        # first batch, so every later batch only moves counters.
+        stats.record_batch(16, 0.001, worker=0, policy="static")
+        stats.record_requests([0.001] * 16)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for batch in range(100_000 // 16):
+                # Fresh floats every batch, as live timers produce.
+                latencies = [1e-3 + (batch * 16 + i) * 1e-9 for i in range(16)]
+                stats.record_batch(16, latencies[-1], worker=0, policy="static")
+                stats.record_requests(latencies)
+            del latencies
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert stats.request_count == 100_000 // 16 * 16 + 16
+        assert retained < 16 * 1024
 
 
 class TestServingStatsReset:
@@ -87,7 +80,12 @@ class TestServingStatsReset:
         assert stats.busy_seconds == 0.0
         assert stats.per_worker == {}
         assert stats.per_policy == {}
-        assert stats.request_latencies_s == []
+        for name in (
+            "repro_serving_request_latency_seconds",
+            "repro_serving_batch_latency_seconds",
+        ):
+            (latency,) = stats.metrics.series(name)
+            assert latency.count == 0
         summary = stats.summary()
         assert summary["requests"] == 0
         assert summary["request_latency_p50_ms"] == 0.0

@@ -16,7 +16,6 @@ import pytest
 
 from repro import nn
 from repro.serving import (
-    AsyncInferenceEngine,
     StaticBatchPolicy,
     InferenceEngine,
     ModelRegistry,
@@ -138,34 +137,45 @@ class TestAsyncFrontDoor:
         offline = engine.predict_many(inputs, batched=True)
 
         async def serve():
-            async with AsyncInferenceEngine(engine, workers=2) as serving:
-                return await serving.predict_many(inputs)
+            return await asyncio.gather(
+                *(engine.submit_async(sample) for sample in inputs)
+            )
 
-        online = asyncio.run(serve())
+        engine.start(workers=2)
+        try:
+            online = asyncio.run(serve())
+        finally:
+            engine.stop()
         np.testing.assert_allclose(
             np.stack(online), np.stack(offline), atol=1e-10
         )
-        assert engine.worker_count == 0  # __aexit__ stopped the pool
+        assert engine.worker_count == 0
 
     def test_async_single_predict(self, handle, inputs):
         engine = make_engine(handle)
 
         async def serve():
-            async with AsyncInferenceEngine(engine) as serving:
-                return await serving.predict(inputs[0])
+            return await engine.submit_async(inputs[0])
 
-        row = asyncio.run(serve())
+        engine.start()
+        try:
+            row = asyncio.run(serve())
+        finally:
+            engine.stop()
         assert row.shape == (4,)
 
     def test_async_error_propagates_to_future(self, handle):
         engine = make_engine(handle)
 
         async def serve():
-            async with AsyncInferenceEngine(engine, workers=2) as serving:
-                with pytest.raises(Exception):
-                    await serving.predict(np.zeros((5, 5)))
+            with pytest.raises(Exception):
+                await engine.submit_async(np.zeros((5, 5)))
 
-        asyncio.run(serve())
+        engine.start(workers=2)
+        try:
+            asyncio.run(serve())
+        finally:
+            engine.stop()
 
     def test_abandoned_future_on_closed_loop_spares_worker(
         self, handle, inputs

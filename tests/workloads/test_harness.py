@@ -61,6 +61,21 @@ class TestOfflineSweep:
         assert by_name["lru"]["requests"] == len(scenario.generate())
         assert "cost-aware" in result.notes
 
+    def test_batch_family_does_not_change_offline_batching(self, harness):
+        """The batch family is a live-run axis: offline replay coalesces
+        the schedule with the config's max_wait_s either way."""
+        result = harness.sweep(
+            UniformScenario(rate_rps=150, duration_s=1,
+                            models=[MODEL_NAME], seed=5),
+            configs=[
+                SweepConfig(name="static", batch="static"),
+                SweepConfig(name="cost-aware", batch="cost-aware"),
+            ],
+            with_tenancy=False,
+        )
+        static, aware = result.rows
+        assert aware["batches"] == static["batches"]
+
     def test_tenant_usage_rides_rows(self, harness):
         result = harness.sweep(
             UniformScenario(rate_rps=60, duration_s=1,
