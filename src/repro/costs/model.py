@@ -277,15 +277,6 @@ class CodecCostModel:
         attach ``nbytes`` of compressed payloads."""
         return self.attach_seconds_per_byte(backend) * max(int(nbytes), 0)
 
-    def snapshot_attach_rates(self) -> Dict[str, float]:
-        """One-lock copy of every known per-backend attach rate."""
-        with self._lock:
-            return dict(self._attach_rates)
-
-    def attach_observations(self, backend: str) -> int:
-        with self._lock:
-            return self._attach_observations.get(backend, 0)
-
     def clone(self) -> "CodecCostModel":
         """An independent copy with the same rates and counts.
 

@@ -114,7 +114,6 @@ from repro.serving.batching import (
     BatchPolicy,
     CostAwareBatchPolicy,
     QueueClosed,
-    Request,
     RequestQueue,
     StaticBatchPolicy,
     Ticket,
@@ -208,7 +207,6 @@ __all__ = [
     "StaticBatchPolicy",
     "CostAwareBatchPolicy",
     "RequestQueue",
-    "Request",
     "Ticket",
     "QueueClosed",
     "coalesce",

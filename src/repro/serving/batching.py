@@ -168,20 +168,64 @@ class CostAwareBatchPolicy:
 
 
 class Ticket:
-    """Handle returned by ``submit``: blocks until the result is set.
+    """One enqueued request and the handle ``submit`` returns for it.
 
-    Completion can also be observed without blocking via
-    :meth:`add_done_callback` (this is what the asyncio front door
-    uses to bridge worker threads back into an event loop).
+    The ticket *is* the queued request: it carries the sample
+    (``payload``, no batch axis), its arrival time (``enqueued_at``),
+    its observability context (``trace``: a
+    :class:`~repro.observability.RequestTrace` opened at submit, or
+    ``None`` when tracing is off) and the submitting ``tenant``, which
+    is carried independently of tracing so per-tenant metering works
+    with observability disabled.  The queue itself reads only
+    ``enqueued_at``.
+
+    :meth:`result` blocks until a worker calls :meth:`set_result` or
+    :meth:`set_error`.  Completion can also be observed without
+    blocking via :meth:`add_done_callback` (this is how the asyncio
+    front door bridges worker threads back into an event loop).
+
+    Completion is a latch: a lock acquired at construction and
+    released once when the ticket completes.  A waiter acquires it
+    and releases it at once, passing it on to the next waiter, so one
+    completion wakes every waiter.  A second small lock orders
+    callback registration against completion, so each callback runs
+    exactly once.
     """
 
-    def __init__(self, request_id: int) -> None:
+    __slots__ = (
+        "request_id",
+        "payload",
+        "enqueued_at",
+        "trace",
+        "tenant",
+        "_latch",
+        "_callback_lock",
+        "_callbacks",
+        "_done",
+        "_result",
+        "_error",
+    )
+
+    def __init__(
+        self,
+        request_id: int,
+        payload: Optional[np.ndarray] = None,
+        enqueued_at: float = 0.0,
+        trace: Optional[object] = None,
+        tenant: Optional[str] = None,
+    ) -> None:
         self.request_id = request_id
-        self._done = threading.Event()
+        self.payload = payload
+        self.enqueued_at = enqueued_at
+        self.trace = trace
+        self.tenant = tenant
+        self._latch = threading.Lock()
+        self._latch.acquire()
+        self._callback_lock = threading.Lock()
+        self._callbacks: List[Callable[["Ticket"], None]] = []
+        self._done = False
         self._result: Optional[np.ndarray] = None
         self._error: Optional[BaseException] = None
-        self._callbacks: List[Callable[["Ticket"], None]] = []
-        self._callback_lock = threading.Lock()
 
     def set_result(self, value: np.ndarray) -> None:
         self._result = value
@@ -193,8 +237,11 @@ class Ticket:
 
     def _fire(self) -> None:
         with self._callback_lock:
-            self._done.set()
+            if self._done:
+                return
+            self._done = True
             callbacks, self._callbacks = self._callbacks, []
+        self._latch.release()
         for callback in callbacks:
             try:
                 callback(self)
@@ -211,40 +258,29 @@ class Ticket:
         already done; otherwise runs in the thread that completes it.
         """
         with self._callback_lock:
-            if not self._done.is_set():
+            if not self._done:
                 self._callbacks.append(fn)
                 return
         fn(self)
 
     def done(self) -> bool:
-        return self._done.is_set()
+        # Lock-free on purpose: ``_done`` only ever goes False -> True
+        # (a single store under the GIL), so a stale read just reports
+        # a ticket as pending a moment longer.
+        return self._done  # repro: ignore[LCK001]
 
     def result(self, timeout: Optional[float] = None) -> np.ndarray:
-        if not self._done.wait(timeout):
-            raise TimeoutError(f"request {self.request_id} not done")
+        # Same monotonic flag as done(): once it reads True the result
+        # fields were written before it, and the latch is never taken.
+        if not self._done:  # repro: ignore[LCK001]
+            if timeout is None:
+                self._latch.acquire()
+            elif not self._latch.acquire(timeout=max(timeout, 0.0)):
+                raise TimeoutError(f"request {self.request_id} not done")
+            self._latch.release()
         if self._error is not None:
             raise self._error
         return self._result
-
-
-@dataclass
-class Request:
-    """One enqueued sample plus its completion ticket.
-
-    ``trace`` carries the request's observability context (a
-    :class:`~repro.observability.RequestTrace` opened at submit, or
-    ``None`` when tracing is off) from the submitting thread to the
-    worker that executes the batch; ``tenant`` carries the submitting
-    tenant independently of tracing, so per-tenant metering works with
-    observability disabled.  The queue itself touches neither.
-    """
-
-    request_id: int
-    payload: np.ndarray
-    ticket: Ticket
-    enqueued_at: float = 0.0
-    trace: Optional[object] = None
-    tenant: Optional[str] = None
 
 
 class QueueClosed(Exception):
@@ -252,13 +288,22 @@ class QueueClosed(Exception):
 
 
 class RequestQueue:
-    """Thread-safe queue that hands out policy-coalesced batches."""
+    """Thread-safe queue that hands out policy-coalesced batches.
+
+    ``submit`` wakes a waiting worker only when that worker's wait can
+    end: on the first arrival into an empty queue, when the queue
+    reaches ``max_batch_size``, and when the policy's wait budget
+    shrinks with the new arrival (a cost-aware policy closing its
+    batch early).  Any other arrival would wake a worker collecting
+    stragglers only for it to re-check and sleep again.  A take that
+    leaves requests queued wakes one more worker to serve them.
+    """
 
     def __init__(self, policy: Optional[BatchPolicy] = None) -> None:
         self.policy = policy or StaticBatchPolicy()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
-        self._pending: List[Request] = []
+        self._pending: List[Ticket] = []
         self._closed = False
         self._ids = itertools.count()
 
@@ -268,20 +313,26 @@ class RequestQueue:
 
     def submit(self, payload: np.ndarray, trace=None, tenant=None) -> Ticket:
         """Enqueue one sample; returns the ticket to wait on."""
-        ticket = Ticket(next(self._ids))
-        request = Request(
-            request_id=ticket.request_id,
-            payload=np.asarray(payload),
-            ticket=ticket,
-            enqueued_at=time.perf_counter(),
-            trace=trace,
-            tenant=tenant,
+        ticket = Ticket(
+            next(self._ids),
+            np.asarray(payload),
+            time.perf_counter(),
+            trace,
+            tenant,
         )
+        policy = self.policy
         with self._not_empty:
             if self._closed:
                 raise QueueClosed("queue is closed")
-            self._pending.append(request)
-            self._not_empty.notify()
+            pending = self._pending
+            pending.append(ticket)
+            count = len(pending)
+            if (
+                count == 1
+                or count >= policy.max_batch_size
+                or policy.wait_budget(count) < policy.wait_budget(count - 1)
+            ):
+                self._not_empty.notify()
         return ticket
 
     def close(self) -> None:
@@ -290,44 +341,53 @@ class RequestQueue:
             self._closed = True
             self._not_empty.notify_all()
 
-    def next_batch(self, timeout: Optional[float] = None) -> List[Request]:
+    def next_batch(self, timeout: Optional[float] = None) -> List[Ticket]:
         """Block for the next coalesced batch.
 
         Waits (up to ``timeout``) for at least one request, then keeps
         collecting until the batch is full or the policy's wait budget
-        — re-evaluated on every arrival, since a cost-aware policy
+        — re-evaluated after every wait, since a cost-aware policy
         shrinks it as the batch grows — has passed since the *first
-        request in the batch arrived*.  Raises :class:`QueueClosed`
-        once the queue is closed and drained.
+        request in the batch arrived*.  The head is re-read after every
+        wait: if another worker took the requests this one was
+        collecting, it goes back to waiting for a first arrival, so a
+        call without ``timeout`` never returns an empty batch.  Raises
+        :class:`QueueClosed` once the queue is closed and drained.
         """
         deadline = None if timeout is None else time.perf_counter() + timeout
+        policy = self.policy
         with self._not_empty:
-            while not self._pending:
-                if self._closed:
-                    raise QueueClosed("queue is closed and drained")
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        return []
-                self._not_empty.wait(remaining)
-
-            # The wait budget is anchored to the first request's
-            # *arrival*, not to this worker waking up: a request that
-            # already queued behind a slow batch has spent its budget
-            # and must not pay it a second time.
-            opened_at = self._pending[0].enqueued_at
-            while (
-                len(self._pending) < self.policy.max_batch_size
-                and not self._closed
-            ):
-                budget = self.policy.wait_budget(len(self._pending))
-                remaining = opened_at + budget - time.perf_counter()
+            pending = self._pending
+            while True:
+                if not pending:
+                    if self._closed:
+                        raise QueueClosed("queue is closed and drained")
+                    remaining = None
+                    if deadline is not None:
+                        remaining = deadline - time.perf_counter()
+                        if remaining <= 0:
+                            return []
+                    self._not_empty.wait(remaining)
+                    continue
+                count = len(pending)
+                if count >= policy.max_batch_size or self._closed:
+                    break
+                # The wait budget is anchored to the head request's
+                # *arrival*, not to this worker waking up: a request
+                # that already queued behind a slow batch has spent its
+                # budget and must not pay it a second time.
+                remaining = (
+                    pending[0].enqueued_at
+                    + policy.wait_budget(count)
+                    - time.perf_counter()
+                )
                 if remaining <= 0:
                     break
                 self._not_empty.wait(remaining)
-            batch = self._pending[: self.policy.max_batch_size]
-            del self._pending[: len(batch)]
+            batch = pending[: policy.max_batch_size]
+            del pending[: len(batch)]
+            if pending:
+                self._not_empty.notify()
             return batch
 
 
@@ -344,6 +404,6 @@ def coalesce(
     ]
 
 
-def stack_batch(requests: Sequence[Request]) -> np.ndarray:
+def stack_batch(requests: Sequence[Ticket]) -> np.ndarray:
     """Stack request payloads into the (N, ...) model input."""
     return np.stack([request.payload for request in requests], axis=0)

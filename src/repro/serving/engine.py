@@ -48,7 +48,6 @@ from repro.observability import (
 from repro.serving.batching import (
     BatchPolicy,
     QueueClosed,
-    Request,
     RequestQueue,
     StaticBatchPolicy,
     Ticket,
@@ -180,8 +179,12 @@ class InferenceEngine:
         with self._forward_lock:
             run = execute_batch(self._skeleton, self.rebuild, batch, **spans)
         latency = time.perf_counter() - start
-        self.stats.record_batch(len(batch), latency, policy=self.policy.name)
-        self.stats.record_requests([latency] * len(batch))
+        self.stats.record_batch(
+            len(batch),
+            latency,
+            policy=self.policy.name,
+            request_latencies_s=[latency] * len(batch),
+        )
         if trace is not None and obs.enabled:
             obs.finish_request(trace)
         return run.rows
@@ -501,7 +504,7 @@ class InferenceEngine:
             self._worker_error = error  # repro: ignore[LCK001]
             self._fail_pending(queue, error)
 
-    def _run_requests(self, requests: List[Request], worker: _Worker) -> None:
+    def _run_requests(self, requests: List[Ticket], worker: _Worker) -> None:
         obs = self.observability
         traced = (
             [r for r in requests if r.trace is not None] if obs.enabled else []
@@ -580,8 +583,8 @@ class InferenceEngine:
             finish - start,
             worker=worker.index,
             policy=self.policy.name,
+            request_latencies_s=[finish - r.enqueued_at for r in requests],
         )
-        self.stats.record_requests([finish - r.enqueued_at for r in requests])
         for request, row in zip(requests, run.rows):
             if request.trace is not None and obs.enabled:
                 if request.trace is not primary:
@@ -607,17 +610,17 @@ class InferenceEngine:
                 )
             if ledger is not None:
                 ledger.record_served(request.tenant)
-            request.ticket.set_result(row)
+            request.set_result(row)
 
     @staticmethod
     def _fail_tickets(
-        requests: Sequence[Request], error: BaseException
+        requests: Sequence[Ticket], error: BaseException
     ) -> None:
         # Each ticket gets its own exception instance: result() may
         # re-raise from many waiter threads at once, and a shared
         # instance would have its __traceback__ mutated concurrently.
         for request in requests:
-            request.ticket.set_error(per_ticket_error(error))
+            request.set_error(per_ticket_error(error))
 
     def _fail_pending(
         self, queue: RequestQueue, error: BaseException

@@ -186,14 +186,18 @@ def make_routing_policy(
 
 
 class _HostedEngine:
-    """One fleet member: its key, the model name it serves, a counter."""
+    """One fleet member: its key, the model name it serves, and its
+    routed-request counters (bound once, incremented per request)."""
 
-    __slots__ = ("key", "model", "engine")
+    __slots__ = ("key", "model", "engine", "routed", "routed_model")
 
-    def __init__(self, key: str, model: str, engine: InferenceEngine) -> None:
+    def __init__(
+        self, key: str, model: str, engine: InferenceEngine, stats: HostStats
+    ) -> None:
         self.key = key
         self.model = model
         self.engine = engine
+        self.routed, self.routed_model = stats.routed_counters(key, model)
 
 
 class ServingHost:
@@ -315,7 +319,7 @@ class ServingHost:
             while key in self._entries:
                 replica += 1
                 key = f"{base}#{replica}"
-            self._entries[key] = _HostedEngine(key, model, engine)
+            self._entries[key] = _HostedEngine(key, model, engine, self.stats)
             workers = self._workers
             backend = self._backend
         if workers:
@@ -446,7 +450,8 @@ class ServingHost:
                     f"routing policy {self.routing.name!r} returned a view "
                     "that was not a candidate"
                 )
-        self.stats.record_routed(chosen.key, chosen.model)
+        chosen.routed.inc()
+        chosen.routed_model.inc()
         if obs.enabled:
             tags: Dict = {
                 "policy": self.routing.name,

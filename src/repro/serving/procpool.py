@@ -52,8 +52,8 @@ from repro.observability import MetricsRegistry
 from repro.serving.arena import SharedPayloadArena, ArenaManifest
 from repro.serving.batching import (
     QueueClosed,
-    Request,
     RequestQueue,
+    Ticket,
     stack_batch,
 )
 from repro.serving.execute import SkeletonPlan, execute_batch
@@ -289,7 +289,7 @@ class _InFlight:
     __slots__ = ("requests", "batch_id", "sent")
 
     def __init__(
-        self, requests: List[Request], batch_id: int, sent: float
+        self, requests: List[Ticket], batch_id: int, sent: float
     ) -> None:
         self.requests = requests
         self.batch_id = batch_id
@@ -497,7 +497,7 @@ class ProcessPool:
     def _dispatch(
         self,
         slot: _Slot,
-        requests: List[Request],
+        requests: List[Ticket],
         pending: "Deque[_InFlight]",
     ) -> None:
         """Stack one batch and ship it to the worker (non-blocking)."""
@@ -565,8 +565,8 @@ class ProcessPool:
             finish - sent,
             worker=slot.index,
             policy=engine.policy.name,
+            request_latencies_s=[finish - r.enqueued_at for r in requests],
         )
-        engine.stats.record_requests([finish - r.enqueued_at for r in requests])
         rebuild_end = sent + result.install_seconds
         compute_end = rebuild_end + result.forward_seconds
         traced = (
@@ -606,12 +606,12 @@ class ProcessPool:
                 )
             if ledger is not None:
                 ledger.record_served(request.tenant)
-            request.ticket.set_result(row)
+            request.set_result(row)
 
     def _await_hello(
         self,
         slot: _Slot,
-        requests: List[Request],
+        requests: List[Ticket],
         batch_id: int,
         pending: "Deque[_InFlight]",
     ) -> bool:
@@ -653,7 +653,7 @@ class ProcessPool:
         slot: _Slot,
         pending: "Deque[_InFlight]",
         cause: BaseException,
-        requests: Optional[List[Request]] = None,
+        requests: Optional[List[Ticket]] = None,
         batch_id: Optional[int] = None,
     ) -> None:
         """One worker died: fail every in-flight batch, then respawn.
@@ -694,7 +694,7 @@ class ProcessPool:
 
     def _fail_batch(
         self,
-        requests: List[Request],
+        requests: List[Ticket],
         batch_id: int,
         error: BaseException,
     ) -> None:
@@ -718,7 +718,7 @@ class ProcessPool:
         self,
         slot: _Slot,
         totals: Dict[str, float],
-        requests: List[Request],
+        requests: List[Ticket],
     ) -> None:
         """Fold one reply's counter deltas into the engine's stats."""
         if not totals:

@@ -59,11 +59,6 @@ class CompressedModelHandle:
         return {spec.name: spec for spec in self.manifest.layers}
 
     @property
-    def layer_codecs(self) -> Dict[str, str]:
-        """Which registered codec decodes each layer."""
-        return {spec.name: spec.codec for spec in self.manifest.layers}
-
-    @property
     def total_dense_bytes(self) -> int:
         """Resident bytes if every layer were rebuilt and cached dense.
 

@@ -1,8 +1,8 @@
 """Serving telemetry: throughput, latency percentiles, and the realized
 storage-vs-compute trade.
 
-:class:`ServingStats` is fed by the engine (one ``record_batch`` and
-one ``record_requests`` per executed batch) and folds in the
+:class:`ServingStats` is fed by the engine (one ``record_batch`` per
+executed batch, carrying its requests' latencies) and folds in the
 rebuild-cache counters and bundle accounting on demand, so one
 ``summary()`` call answers: how fast are we serving, what did batching
 buy, how often did the rebuild cache hit, and how many dense bytes did
@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import Counter, MetricsRegistry
 from repro.serving.artifacts import ArtifactManifest
 from repro.serving.rebuild import RebuildCacheStats
 
@@ -200,11 +200,16 @@ class ServingStats:
         latency_s: float,
         worker: Optional[int] = None,
         policy: Optional[str] = None,
+        request_latencies_s: Sequence[float] = (),
     ) -> None:
+        """One executed batch: its size and execution latency, plus
+        (``request_latencies_s``) the end-to-end latency of each of its
+        requests, all recorded under one lock acquisition."""
         batch_size, latency_s = int(batch_size), float(latency_s)
         end = time.perf_counter()
         start = end - latency_s
         with self._lock:
+            self._request_latency.observe_many(request_latencies_s)
             self._requests.inc(batch_size)
             self._batches.inc()
             self._busy.inc(latency_s)
@@ -452,7 +457,8 @@ class HostStats:
     dict views are derived from those series (zero-valued series are
     filtered, so a freshly reset host reads as empty).
 
-    The host records one :meth:`record_routed` per routed request;
+    The host binds each engine's pair of counters once
+    (:meth:`routed_counters`) and increments them per routed request;
     :meth:`summary` folds those counters together with each engine's
     ``summary()`` dict into the numbers a fleet dashboard needs —
     total requests and failures, total rebuild seconds paid, and the
@@ -493,20 +499,34 @@ class HostStats:
     def routed_total(self) -> int:
         return sum(self.routed_by_engine.values())
 
+    def routed_counters(
+        self, key: str, model: Optional[str] = None
+    ) -> Tuple[Counter, Optional[Counter]]:
+        """The routed-request counters of engine ``key`` and of
+        ``model`` (``None`` without a model).
+
+        The host resolves them once per engine when it joins the fleet
+        and increments them on every routed request, so the hot path
+        never looks a series up by its labels.
+        """
+        engine = self.metrics.counter(
+            self._ENGINE_SERIES,
+            "requests routed per engine",
+            tags={"engine": key},
+        )
+        if model is None:
+            return engine, None
+        return engine, self.metrics.counter(
+            self._MODEL_SERIES,
+            "requests routed per model",
+            tags={"model": model},
+        )
+
     def record_routed(self, key: str, model: Optional[str] = None) -> None:
         """Count one request routed to engine ``key`` (of ``model``)."""
-        with self._lock:
-            self.metrics.counter(
-                self._ENGINE_SERIES,
-                "requests routed per engine",
-                tags={"engine": key},
-            ).inc()
-            if model is not None:
-                self.metrics.counter(
-                    self._MODEL_SERIES,
-                    "requests routed per model",
-                    tags={"model": model},
-                ).inc()
+        for counter in self.routed_counters(key, model):
+            if counter is not None:
+                counter.inc()
 
     def summary(
         self,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.serving import (
+    CostAwareBatchPolicy,
     StaticBatchPolicy,
     QueueClosed,
     RequestQueue,
@@ -152,3 +153,94 @@ class TestWaitBudgetAnchor:
             elapsed = time.perf_counter() - start
             assert len(batch) == 1
             assert elapsed < 0.04
+
+
+def _consume(queue, out, **kwargs):
+    """Run one ``next_batch`` on a thread; records (batch, return time)."""
+
+    def run():
+        batch = queue.next_batch(**kwargs)
+        out.append((batch, time.perf_counter()))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread
+
+
+class TestTwoConsumers:
+    """Two workers collecting the same head request.
+
+    Regression: ``next_batch`` read the head's arrival once, so after
+    the other worker took that batch it kept the stale anchor.  It
+    then closed a later request's batch early, or, waking after the
+    stale budget with the queue empty, returned an empty batch from a
+    blocking call.
+    """
+
+    def _race(self, late_delay_s):
+        queue = RequestQueue(StaticBatchPolicy(max_batch_size=4, max_wait_s=0.05))
+        results = []
+        queue.submit(np.zeros(1))
+        threads = [_consume(queue, results)]
+        time.sleep(0.01)
+        threads.append(_consume(queue, results))
+        time.sleep(0.005)
+        for i in range(3):  # fills the first batch: one consumer takes it
+            queue.submit(np.full(1, i + 1.0))
+        time.sleep(late_delay_s)
+        late = queue.submit(np.full(1, 9.0))
+        for thread in threads:
+            thread.join(5.0)
+        assert not any(thread.is_alive() for thread in threads)
+        return late, results
+
+    def test_late_request_gets_its_own_full_budget(self):
+        late, results = self._race(late_delay_s=0.005)
+        sizes = sorted(len(batch) for batch, _ in results)
+        assert sizes == [1, 4]
+        ((batch, returned),) = [r for r in results if len(r[0]) == 1]
+        assert batch[0] is late
+        # Anchored at its own arrival: a full 50 ms wait.  The stale
+        # anchor closed it about 30 ms after arrival.
+        assert returned - late.enqueued_at >= 0.045
+
+    def test_blocking_call_never_returns_an_empty_batch(self):
+        # The late request arrives after the stale anchor's budget ran
+        # out, so the second consumer wakes to an empty queue first.
+        late, results = self._race(late_delay_s=0.08)
+        assert sorted(len(batch) for batch, _ in results) == [1, 4]
+        assert any(batch == [late] for batch, _ in results)
+
+
+class TestWakeRule:
+    def test_shrinking_cost_aware_budget_closes_early(self):
+        # A fixed 0.4 s per-batch cost: the budget is 0.4 s for one
+        # request and 0.1 s for four (capped by max_wait_s = 1 s).
+        policy = CostAwareBatchPolicy(max_batch_size=16, max_wait_s=1.0)
+        policy.bind_costs(lambda: 0.4)
+        queue = RequestQueue(policy)
+        results = []
+        first = queue.submit(np.zeros(1))
+        thread = _consume(queue, results)
+        time.sleep(0.02)
+        for _ in range(3):
+            queue.submit(np.zeros(1))
+        thread.join(5.0)
+        ((batch, returned),) = results
+        assert len(batch) == 4
+        elapsed = returned - first.enqueued_at
+        # Closed at the shrunk 0.1 s budget, not the first 0.4 s one.
+        assert 0.095 <= elapsed < 0.3
+
+    def test_static_batch_one_short_of_full_waits_its_budget(self):
+        queue = RequestQueue(StaticBatchPolicy(max_batch_size=16, max_wait_s=0.1))
+        results = []
+        first = queue.submit(np.zeros(1))
+        thread = _consume(queue, results)
+        for _ in range(14):
+            time.sleep(0.001)
+            queue.submit(np.zeros(1))
+        thread.join(5.0)
+        ((batch, returned),) = results
+        assert len(batch) == 15
+        assert returned - first.enqueued_at >= 0.1
