@@ -304,6 +304,8 @@ class RequestQueue:
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._pending: List[Ticket] = []
+        # (pending count, wait budget) as of the latest arrival.
+        self._last_budget = (0, 0.0)
         self._closed = False
         self._ids = itertools.count()
 
@@ -327,11 +329,17 @@ class RequestQueue:
             pending = self._pending
             pending.append(ticket)
             count = len(pending)
-            if (
-                count == 1
-                or count >= policy.max_batch_size
-                or policy.wait_budget(count) < policy.wait_budget(count - 1)
-            ):
+            if count >= policy.max_batch_size:
+                self._not_empty.notify()
+                return ticket
+            # One budget evaluation per arrival: the previous arrival's
+            # budget is reused unless a take changed the count since.
+            budget = policy.wait_budget(count)
+            last_count, last_budget = self._last_budget
+            self._last_budget = (count, budget)
+            if count > 1 and last_count != count - 1:
+                last_budget = policy.wait_budget(count - 1)
+            if count == 1 or budget < last_budget:
                 self._not_empty.notify()
         return ticket
 

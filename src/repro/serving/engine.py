@@ -29,7 +29,6 @@ Three serving paths share one execution core,
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import itertools
 import threading
 import time
@@ -55,10 +54,24 @@ from repro.serving.batching import (
     per_ticket_error,
     stack_batch,
 )
-from repro.serving.execute import ServingError, SkeletonPlan, execute_batch
+from repro.serving.execute import (
+    BatchRun,
+    ServingError,
+    SkeletonPlan,
+    execute_batch,
+)
 from repro.serving.rebuild import AdmissionPolicy, RebuildEngine
 from repro.serving.registry import CompressedModelHandle
 from repro.serving.stats import ServingStats
+
+
+def _primary_trace(requests: Sequence[Ticket]) -> Optional[RequestTrace]:
+    """The first traced request's trace: a batch's phase spans hang off
+    it, and its peers' copies name it in ``shared_from``."""
+    for request in requests:
+        if request.trace is not None:
+            return request.trace
+    return None
 
 
 class _Worker:
@@ -178,6 +191,8 @@ class InferenceEngine:
         start = time.perf_counter()
         with self._forward_lock:
             run = execute_batch(self._skeleton, self.rebuild, batch, **spans)
+        if run.error is not None:
+            raise run.error
         latency = time.perf_counter() - start
         self.stats.record_batch(
             len(batch),
@@ -505,121 +520,182 @@ class InferenceEngine:
             self._fail_pending(queue, error)
 
     def _run_requests(self, requests: List[Ticket], worker: _Worker) -> None:
-        obs = self.observability
-        traced = (
-            [r for r in requests if r.trace is not None] if obs.enabled else []
-        )
-        batch_id = next(self._batch_ids)
-        dequeued = time.perf_counter()
-        if traced:
-            # enqueue → dequeue wait, one span per request, against the
-            # policy's (re-evaluated) wait budget for this batch size.
-            budget = self.policy.wait_budget(len(requests))
-            for request in traced:
-                obs.tracer.emit(
-                    "queue_wait",
-                    start_s=request.enqueued_at,
-                    end_s=dequeued,
-                    parent=request.trace.root,
-                    tags={
-                        "engine": self.handle.key,
-                        "worker": worker.index,
-                        "batch_id": batch_id,
-                        "batch_size": len(requests),
-                        "wait_budget_s": budget,
-                    },
-                )
-            # Rebuild + compute run once per batch; the spans hang off
-            # the first traced request (the batch's *primary* trace),
-            # and the peers get duplicate spans tagged ``shared`` below.
-            primary = traced[0].trace
-            phase_tags = {
-                "engine": self.handle.key,
-                "worker": worker.index,
-                "batch_id": batch_id,
-            }
-        # Rebuild work below runs on this worker thread; activating the
+        batch_id = self.dequeued(requests, worker.index, "thread")
+        try:
+            batch = stack_batch(requests)
+        except Exception as error:
+            self.failed(requests, batch_id, error)
+            return
+        # Rebuild work runs on this worker thread; activating the
         # batch's tenant shares here lets the rebuild engine charge the
         # measured seconds to exactly the tenants riding this batch.
         ledger = self.ledger
         attribution = (
             ledger.activate(ledger.shares([r.tenant for r in requests]))
             if ledger is not None
-            else contextlib.nullcontext()
+            else None
         )
         spans = {}
-        if traced:
+        obs = self.observability
+        primary = _primary_trace(requests) if obs.enabled else None
+        if primary is not None:
+            # Rebuild + compute run once per batch; their spans (and the
+            # per-layer ``rebuild.layer`` spans) hang off the primary.
             spans = {
                 "tracer": obs.tracer,
                 "parent": primary.root,
-                "tags": phase_tags,
+                "tags": self._phase_tags(worker.index, "thread", batch_id),
             }
-        start = time.perf_counter()
-        try:
-            run = execute_batch(
-                worker.skeleton,
-                self.rebuild,
-                stack_batch(requests),
-                attribution=attribution,
-                **spans,
-            )
-        except Exception as error:
-            # A bad batch (e.g. malformed sample shape) fails its own
-            # tickets; the worker keeps serving subsequent requests.
-            for request in traced:
-                obs.finish_request(
-                    request.trace, batch_id=batch_id,
-                    error=type(error).__name__,
-                )
-            self._fail_tickets(requests, error)
-            self.stats.record_failed(len(requests))
-            if ledger is not None:
-                for request in requests:
-                    ledger.record_failed(request.tenant)
-            return
-        finish = run.finished
-        self.stats.record_batch(
-            len(requests),
-            finish - start,
-            worker=worker.index,
-            policy=self.policy.name,
-            request_latencies_s=[finish - r.enqueued_at for r in requests],
+        run = execute_batch(
+            worker.skeleton,
+            self.rebuild,
+            batch,
+            attribution=attribution,
+            **spans,
         )
-        for request, row in zip(requests, run.rows):
-            if request.trace is not None and obs.enabled:
-                if request.trace is not primary:
-                    # Batch peers share the primary's install/forward
-                    # work; they get duplicate phase spans (same
-                    # interval) so each trace tree is self-contained —
-                    # tagged ``shared`` so breakdowns count the work
-                    # once.
-                    for phase in (run.rebuild_span, run.compute_span):
-                        obs.tracer.emit(
-                            phase.name,
-                            start_s=phase.start_s,
-                            end_s=phase.start_s + phase.duration_s,
-                            parent=request.trace.root,
-                            tags={
-                                **phase_tags,
-                                "shared": True,
-                                "shared_from": primary.trace_id,
-                            },
-                        )
-                obs.finish_request(
-                    request.trace, end_s=finish, batch_id=batch_id
-                )
-            if ledger is not None:
+        self.completed(
+            requests, batch_id, worker.index, "thread", run, run.finished
+        )
+
+    # ------------------------------------------------------------------
+    # Batch lifecycle, shared by both backends: every pool batch is
+    # dequeued once, then completed (executed, with rows or an error)
+    # or failed (never executed: a stacking error, a dead worker).
+    # ------------------------------------------------------------------
+    def _phase_tags(self, worker: int, backend: str, batch_id: int) -> Dict:
+        return {
+            "engine": self.handle.key,
+            "worker": worker,
+            "backend": backend,
+            "batch_id": batch_id,
+        }
+
+    def dequeued(
+        self, requests: Sequence[Ticket], worker: int, backend: str
+    ) -> int:
+        """Open a batch: assign its id and record each traced request's
+        enqueue-to-dequeue wait as a ``queue_wait`` span, tagged with
+        the policy's wait budget for this batch size."""
+        batch_id = next(self._batch_ids)
+        obs = self.observability
+        if obs.enabled:
+            traced = [r for r in requests if r.trace is not None]
+            if traced:
+                dequeued = time.perf_counter()
+                tags = self._phase_tags(worker, backend, batch_id)
+                tags["batch_size"] = len(requests)
+                tags["wait_budget_s"] = self.policy.wait_budget(len(requests))
+                for request in traced:
+                    obs.tracer.emit(
+                        "queue_wait",
+                        start_s=request.enqueued_at,
+                        end_s=dequeued,
+                        parent=request.trace.root,
+                        tags=tags,
+                    )
+        return batch_id
+
+    def completed(
+        self,
+        requests: Sequence[Ticket],
+        batch_id: int,
+        worker: int,
+        backend: str,
+        run: BatchRun,
+        resolved_at: float,
+    ) -> None:
+        """Resolve an executed batch.
+
+        ``run`` carries the executor's phase stamps (``perf_counter``
+        seconds, taken in the worker process on the process backend)
+        and, when the batch was traced in this process, its phase
+        spans; ``resolved_at`` is when the rows reached this process.
+        Every traced request whose tree lacks ``rebuild``/``compute``
+        spans gets them from the stamps: the batch's primary when
+        ``run`` carries none, and each peer as a copy tagged
+        ``shared`` so breakdowns count the work once.  A run that
+        raised fails the batch after its primary's phase spans.
+        """
+        obs = self.observability
+        size = len(requests)
+        primary = _primary_trace(requests) if obs.enabled else None
+        if primary is not None:
+            tags = self._phase_tags(worker, backend, batch_id)
+            if run.rebuild_span is None:
+                self._emit_phases(primary.root, run, tags, size)
+        if run.error is not None:
+            self.failed(requests, batch_id, run.error)
+            return
+        self.stats.record_batch(
+            size,
+            run.finished - run.start,
+            worker=worker,
+            policy=self.policy.name,
+            request_latencies_s=[
+                resolved_at - r.enqueued_at for r in requests
+            ],
+        )
+        if primary is not None:
+            shared = {**tags, "shared": True, "shared_from": primary.trace_id}
+            for request in requests:
+                trace = request.trace
+                if trace is None:
+                    continue
+                if trace is not primary:
+                    self._emit_phases(trace.root, run, shared, size)
+                obs.finish_request(trace, end_s=resolved_at, batch_id=batch_id)
+        ledger = self.ledger
+        if ledger is not None:
+            for request in requests:
                 ledger.record_served(request.tenant)
+        for request, row in zip(requests, run.rows):
             request.set_result(row)
 
-    @staticmethod
-    def _fail_tickets(
-        requests: Sequence[Ticket], error: BaseException
+    def _emit_phases(
+        self, parent, run: BatchRun, tags: Dict, size: int
     ) -> None:
-        # Each ticket gets its own exception instance: result() may
-        # re-raise from many waiter threads at once, and a shared
-        # instance would have its __traceback__ mutated concurrently.
+        """``run``'s phase intervals as ``rebuild``/``compute`` spans
+        under ``parent``; the phase that raised is tagged ``error``."""
+        emit = self.observability.tracer.emit
+        error = {}
+        if run.error is not None:
+            error["error"] = type(run.error).__name__
+        if run.installed is None:  # the layer fetch raised
+            tags = {**tags, **error}
+            emit("rebuild", run.start, run.finished, parent, tags=tags)
+            return
+        emit("rebuild", run.start, run.installed, parent, tags=tags)
+        emit(
+            "compute",
+            run.installed,
+            run.finished,
+            parent,
+            tags={**tags, "batch_size": size, **error},
+        )
+
+    def failed(
+        self,
+        requests: Sequence[Ticket],
+        batch_id: int,
+        error: BaseException,
+    ) -> None:
+        """Fail every ticket of a batch with its own copy of ``error``,
+        closing traced requests' trees and booking the failures."""
+        obs = self.observability
+        self.stats.record_failed(len(requests))
+        ledger = self.ledger
         for request in requests:
+            if request.trace is not None and obs.enabled:
+                obs.finish_request(
+                    request.trace,
+                    batch_id=batch_id,
+                    error=type(error).__name__,
+                )
+            if ledger is not None:
+                ledger.record_failed(request.tenant)
+            # Each ticket gets its own exception instance: result() may
+            # re-raise from many waiter threads at once, and a shared
+            # instance would have its __traceback__ mutated concurrently.
             request.set_error(per_ticket_error(error))
 
     def _fail_pending(
@@ -631,10 +707,7 @@ class InferenceEngine:
                 requests = queue.next_batch(timeout=0.0)
                 if not requests:
                     return
-                for request in requests:
-                    if request.trace is not None:
-                        self._abort_trace(request.trace, type(error).__name__)
-                self._fail_tickets(requests, error)
+                self.failed(requests, next(self._batch_ids), error)
         except QueueClosed:
             pass
 

@@ -76,15 +76,18 @@ class SkeletonPlan:
 
 @dataclass
 class BatchRun:
-    """One executed batch: fresh output rows plus phase boundaries
-    (``perf_counter`` seconds) and, when traced, the phase spans."""
+    """One executed batch: fresh output rows (or the ``error`` either
+    phase raised), phase boundaries in ``perf_counter`` seconds
+    (``installed`` is None when the layer fetch raised) and, when
+    traced, the phase spans."""
 
-    rows: np.ndarray
+    rows: Optional[np.ndarray]
     start: float
-    installed: float
+    installed: Optional[float]
     finished: float
     rebuild_span: Any = None
     compute_span: Any = None
+    error: Optional[BaseException] = None
 
 
 def execute_batch(
@@ -97,15 +100,19 @@ def execute_batch(
     attribution: Optional[ContextManager] = None,
 ) -> BatchRun:
     """Fetch every layer through ``rebuild``, then run ``plan`` on
-    ``batch``.  ``tracer``/``parent``/``tags`` open the phase spans;
-    ``attribution`` (a tenant-ledger activation) wraps the fetches so
-    rebuild seconds are charged to the batch's tenants.  Raises what
-    either phase raised, after closing its span with the error."""
-    rebuild_span = compute_span = None
+    ``batch``.  ``tracer``/``parent``/``tags`` open the phase spans,
+    which start and end on the run's own stamps; ``attribution`` (a
+    tenant-ledger activation) wraps the fetches so rebuild seconds are
+    charged to the batch's tenants.  An exception from either phase is
+    returned on the run, after closing its span with the error, so a
+    caller fails the batch with the phase times it reached."""
+    rebuild_span = compute_span = installed = None
     start = time.perf_counter()
     try:
         if tracer is not None:
-            rebuild_span = tracer.start_span("rebuild", parent=parent, tags=tags)
+            rebuild_span = tracer.start_span(
+                "rebuild", parent=parent, tags=tags, start_s=start
+            )
         active = (
             tracer.activate(rebuild_span)
             if rebuild_span is not None
@@ -115,15 +122,25 @@ def execute_batch(
             weights = {name: rebuild.layer_weight(name) for name in plan.layers}
         installed = time.perf_counter()
         if tracer is not None:
-            tracer.finish_span(rebuild_span, layers=len(weights))
-            compute_span = tracer.start_span("compute", parent=parent, tags=tags)
+            tracer.finish_span(rebuild_span, end_s=installed)
+            compute_span = tracer.start_span(
+                "compute",
+                parent=parent,
+                tags={**(tags or {}), "batch_size": len(batch)},
+                start_s=installed,
+            )
         rows = plan.plan_for(batch.shape[1:])(batch, weights)
         finished = time.perf_counter()
         if tracer is not None:
-            tracer.finish_span(compute_span, batch_size=len(batch))
+            tracer.finish_span(compute_span, end_s=finished)
     except Exception as error:
+        finished = time.perf_counter()
         for span in (rebuild_span, compute_span):
             if span is not None and not span.finished:
-                tracer.finish_span(span, error=type(error).__name__)
-        raise
+                tracer.finish_span(
+                    span, end_s=finished, error=type(error).__name__
+                )
+        return BatchRun(
+            None, start, installed, finished, rebuild_span, compute_span, error
+        )
     return BatchRun(rows, start, installed, finished, rebuild_span, compute_span)

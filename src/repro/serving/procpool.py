@@ -8,8 +8,10 @@ every queueing contract intact:
 
 - The parent keeps the one shared :class:`RequestQueue`, the
   :class:`BatchPolicy`, tickets, tracing, tenant accounting, and
-  stats — ``submit()`` / ``submit_async()`` callers cannot tell the
-  backends apart.
+  stats, and hands every batch through the engine's lifecycle
+  (``dequeued``, then ``completed`` or ``failed``) exactly as a thread
+  worker does — ``submit()`` / ``submit_async()`` callers cannot tell
+  the backends apart.
 - One **feeder thread per worker process** drains the queue with
   ``next_batch()`` (identical batching semantics to a thread worker),
   ships the stacked batch over a private pipe, and blocks in
@@ -20,7 +22,9 @@ every queueing contract intact:
   validated), builds its *own* :class:`RebuildEngine` over the shared
   views — per-process dense cache, same admission policy and tier
   hierarchy as the parent — plus its own model skeleton, and serves
-  batches until it reads the shutdown sentinel.
+  batches until it reads the shutdown sentinel.  Each reply carries
+  the child's own phase stamps, so spans and batch latency measure
+  its busy time, not a batch's wait in the pipe.
 - A worker that dies mid-batch (OOM-killed, ``kill -9``) fails only
   its in-flight tickets — each with its own exception instance via
   :func:`per_ticket_error` — and is respawned; queued requests behind
@@ -56,7 +60,7 @@ from repro.serving.batching import (
     Ticket,
     stack_batch,
 )
-from repro.serving.execute import SkeletonPlan, execute_batch
+from repro.serving.execute import BatchRun, SkeletonPlan, execute_batch
 from repro.serving.rebuild import RebuildCacheStats, RebuildEngine
 
 #: Start method for worker processes.  ``fork`` makes spawning cheap
@@ -132,18 +136,21 @@ class BatchEnvelope:
 
     batch_id: int
     batch: np.ndarray
-    size: int
 
 
 @dataclass(eq=False)
 class BatchResult:
-    """Worker → parent: one executed batch's rows and accounting."""
+    """Worker → parent: one executed batch's rows (or error), the
+    worker's own phase stamps (``perf_counter`` seconds, a clock every
+    process on the host shares; see :class:`BatchRun`) and cache
+    counters."""
 
     batch_id: int
     rows: Optional[np.ndarray]
     error: Optional[BaseException]
-    install_seconds: float
-    forward_seconds: float
+    start: float = 0.0
+    installed: Optional[float] = None
+    finished: float = 0.0
     rebuild_totals: Dict[str, float] = field(default_factory=dict)
 
 
@@ -175,25 +182,16 @@ def _zero_totals() -> Dict[str, float]:
 def _run_worker_batch(
     envelope: BatchEnvelope, rebuild: RebuildEngine, skeleton: SkeletonPlan
 ) -> BatchResult:
-    try:
-        run = execute_batch(skeleton, rebuild, envelope.batch)
-    except Exception as error:
-        # A bad batch fails its own tickets parent-side; this worker
-        # keeps serving — same contract as a thread worker.
-        return BatchResult(
-            batch_id=envelope.batch_id,
-            rows=None,
-            error=_portable_error(error),
-            install_seconds=0.0,
-            forward_seconds=0.0,
-            rebuild_totals=_stats_totals(rebuild.stats),
-        )
+    run = execute_batch(skeleton, rebuild, envelope.batch)
     return BatchResult(
         batch_id=envelope.batch_id,
         rows=run.rows,
-        error=None,
-        install_seconds=run.installed - run.start,
-        forward_seconds=run.finished - run.installed,
+        # A bad batch fails its own tickets parent-side; this worker
+        # keeps serving — same contract as a thread worker.
+        error=None if run.error is None else _portable_error(run.error),
+        start=run.start,
+        installed=run.installed,
+        finished=run.finished,
         rebuild_totals=_stats_totals(rebuild.stats),
     )
 
@@ -283,17 +281,9 @@ def _worker_main(spec: WorkerSpec, index: int, conn) -> None:
 # ----------------------------------------------------------------------
 # Parent-side pool
 # ----------------------------------------------------------------------
-class _InFlight:
-    """One batch shipped to a worker whose result has not come back."""
-
-    __slots__ = ("requests", "batch_id", "sent")
-
-    def __init__(
-        self, requests: List[Ticket], batch_id: int, sent: float
-    ) -> None:
-        self.requests = requests
-        self.batch_id = batch_id
-        self.sent = sent
+#: One batch shipped to a worker whose result has not come back:
+#: ``(requests, batch_id)``.
+_InFlight = Tuple[List[Ticket], int]
 
 
 class _Slot:
@@ -318,7 +308,8 @@ class ProcessPool:
     ``start(backend="process")``, torn down by ``stop()``.  The engine
     stays the single owner of the queue, stats, observability, and
     tenant ledger; this class only moves batches across the process
-    boundary and folds the results back.
+    boundary, folds the cache counters back, and hands each batch to
+    the engine's ``dequeued`` / ``completed`` / ``failed``.
     """
 
     #: Seconds to wait for a fresh worker's :class:`WorkerHello`.
@@ -485,9 +476,10 @@ class ProcessPool:
                     queue_open = False
                     break
                 if requests:
-                    self._fail_batch(
+                    engine = self._engine
+                    engine.failed(
                         requests,
-                        next(self._engine._batch_ids),
+                        next(engine._batch_ids),
                         ProcessWorkerError(
                             f"worker process {slot.index} is not running"
                         ),
@@ -502,111 +494,43 @@ class ProcessPool:
     ) -> None:
         """Stack one batch and ship it to the worker (non-blocking)."""
         engine = self._engine
-        obs = engine.observability
-        batch_id = next(engine._batch_ids)
-        dequeued = time.perf_counter()
-        if obs.enabled:
-            budget = engine.policy.wait_budget(len(requests))
-            for request in requests:
-                if request.trace is None:
-                    continue
-                obs.tracer.emit(
-                    "queue_wait",
-                    start_s=request.enqueued_at,
-                    end_s=dequeued,
-                    parent=request.trace.root,
-                    tags={
-                        "engine": engine.handle.key,
-                        "worker": slot.index,
-                        "backend": "process",
-                        "batch_id": batch_id,
-                        "batch_size": len(requests),
-                        "wait_budget_s": budget,
-                    },
-                )
+        batch_id = engine.dequeued(requests, slot.index, "process")
         try:
             batch = stack_batch(requests)
         except Exception as error:
-            self._fail_batch(requests, batch_id, error)
+            engine.failed(requests, batch_id, error)
             return
         if not slot.ready and not self._await_hello(
             slot, requests, batch_id, pending
         ):
             return
         try:
-            slot.conn.send(
-                BatchEnvelope(
-                    batch_id=batch_id, batch=batch, size=len(requests)
-                )
-            )
+            slot.conn.send(BatchEnvelope(batch_id=batch_id, batch=batch))
         except (EOFError, BrokenPipeError, OSError) as error:
             self._crash(slot, pending, error, requests, batch_id)
             return
-        pending.append(_InFlight(requests, batch_id, time.perf_counter()))
+        pending.append((requests, batch_id))
 
     def _collect(self, slot: _Slot, pending: "Deque[_InFlight]") -> None:
-        """Receive one result and resolve its batch's tickets."""
-        engine = self._engine
-        obs = engine.observability
+        """Receive one result and hand its batch to the engine."""
         try:
             result = slot.conn.recv()
         except (EOFError, BrokenPipeError, OSError) as error:
             self._crash(slot, pending, error)
             return
-        finish = time.perf_counter()
-        entry = pending.popleft()
-        requests, batch_id, sent = entry.requests, entry.batch_id, entry.sent
+        resolved_at = time.perf_counter()
+        requests, batch_id = pending.popleft()
         self._fold_stats(slot, result.rebuild_totals, requests)
-        if result.error is not None:
-            self._fail_batch(requests, batch_id, result.error)
-            return
-        engine.stats.record_batch(
-            len(requests),
-            finish - sent,
-            worker=slot.index,
-            policy=engine.policy.name,
-            request_latencies_s=[finish - r.enqueued_at for r in requests],
+        run = BatchRun(
+            result.rows,
+            result.start,
+            result.installed,
+            result.finished,
+            error=result.error,
         )
-        rebuild_end = sent + result.install_seconds
-        compute_end = rebuild_end + result.forward_seconds
-        traced = (
-            [r for r in requests if r.trace is not None]
-            if obs.enabled
-            else []
+        self._engine.completed(
+            requests, batch_id, slot.index, "process", run, resolved_at
         )
-        primary = traced[0].trace if traced else None
-        ledger = engine.ledger
-        for request, row in zip(requests, result.rows):
-            if request.trace is not None and obs.enabled:
-                tags = {
-                    "engine": engine.handle.key,
-                    "worker": slot.index,
-                    "backend": "process",
-                    "batch_id": batch_id,
-                }
-                if request.trace is not primary:
-                    tags["shared"] = True
-                    tags["shared_from"] = primary.trace_id
-                obs.tracer.emit(
-                    "rebuild",
-                    start_s=sent,
-                    end_s=rebuild_end,
-                    parent=request.trace.root,
-                    tags=tags,
-                )
-                obs.tracer.emit(
-                    "compute",
-                    start_s=rebuild_end,
-                    end_s=compute_end,
-                    parent=request.trace.root,
-                    tags={**tags, "batch_size": len(requests)},
-                )
-                obs.finish_request(
-                    request.trace, end_s=finish, batch_id=batch_id
-                )
-            if ledger is not None:
-                ledger.record_served(request.tenant)
-            request.set_result(row)
 
     def _await_hello(
         self,
@@ -639,7 +563,7 @@ class ProcessPool:
             slot.alive = False
             self._reap(slot)
             engine._worker_error = fatal
-            self._fail_batch(requests, batch_id, fatal)
+            engine.failed(requests, batch_id, fatal)
             return False
         slot.ready = True
         slot.pid = hello.pid
@@ -669,10 +593,9 @@ class ProcessPool:
         crash.__cause__ = cause
         self._reap(slot)
         while pending:
-            entry = pending.popleft()
-            self._fail_batch(entry.requests, entry.batch_id, crash)
+            self._engine.failed(*pending.popleft(), crash)
         if requests is not None:
-            self._fail_batch(requests, batch_id, crash)
+            self._engine.failed(requests, batch_id, crash)
         if self._stopping:
             slot.alive = False
             return
@@ -691,28 +614,6 @@ class ProcessPool:
             if process.is_alive():  # pragma: no cover - defensive
                 process.kill()
                 process.join(timeout=1.0)
-
-    def _fail_batch(
-        self,
-        requests: List[Ticket],
-        batch_id: int,
-        error: BaseException,
-    ) -> None:
-        engine = self._engine
-        obs = engine.observability
-        if obs.enabled:
-            for request in requests:
-                if request.trace is not None:
-                    obs.finish_request(
-                        request.trace,
-                        batch_id=batch_id,
-                        error=type(error).__name__,
-                    )
-        engine._fail_tickets(requests, error)
-        engine.stats.record_failed(len(requests))
-        if engine.ledger is not None:
-            for request in requests:
-                engine.ledger.record_failed(request.tenant)
 
     def _fold_stats(
         self,

@@ -244,3 +244,24 @@ class TestWakeRule:
         ((batch, returned),) = results
         assert len(batch) == 15
         assert returned - first.enqueued_at >= 0.1
+
+
+class TestWaitBudgetCalls:
+    def test_one_budget_evaluation_per_arrival(self):
+        class CountingPolicy:
+            name = "counting"
+            max_batch_size = 16
+
+            def __init__(self):
+                self.calls = 0
+
+            def wait_budget(self, pending):
+                self.calls += 1
+                return 1.0 / pending
+
+        policy = CountingPolicy()
+        queue = RequestQueue(policy)
+        for _ in range(15):
+            queue.submit(np.zeros(1))
+        assert len(queue) == 15
+        assert policy.calls <= 15

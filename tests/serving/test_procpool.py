@@ -12,6 +12,7 @@ import os
 import pickle
 import signal
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,12 +24,14 @@ from repro.compression import (
     Pow2Quantizer,
 )
 from repro.core import apply_smartexchange
-from repro.observability import ReplayRequest
+from repro.observability import Observability, ReplayRequest
 from repro.serving import (
     ArtifactStore,
+    BatchRun,
     InferenceEngine,
     ModelRegistry,
     ProcessWorkerError,
+    RequestQueue,
     StaticBatchPolicy,
 )
 from repro.serving.arena import shm_segments
@@ -39,6 +42,7 @@ from repro.serving.procpool import (
     WorkerHello,
     WorkerSpec,
 )
+from repro.tenancy import TenantLedger
 
 from tests.serving.conftest import FAST, build_model, publish_mixed
 
@@ -160,15 +164,155 @@ class TestBackendParity:
         assert shm_segments() == ()
 
 
+class TestLifecycleParity:
+    """Both backends run one batch lifecycle (dequeued, then completed
+    or failed), so the same traffic leaves the same spans, tag schema,
+    breakdown and ledger on either."""
+
+    @staticmethod
+    def serve_traced(handle, backend):
+        obs, ledger = Observability(), TenantLedger()
+        engine = InferenceEngine(
+            build_model(seed=123),
+            handle,
+            # A wait long enough that only the lone malformed sample's
+            # batch closes short: the 64 good samples form 16 full
+            # batches on both backends.
+            policy=StaticBatchPolicy(max_batch_size=4, max_wait_s=0.5),
+            observability=obs,
+            ledger=ledger,
+        )
+        samples = np.random.default_rng(7).normal(size=(64, 3, 8, 8))
+        engine.start(workers=2, backend=backend)
+        try:
+            bad = engine.submit(np.zeros((3, 8)), tenant="acme")
+            with pytest.raises(ValueError):
+                bad.result(timeout=60.0)
+            tickets = [
+                engine.submit(sample, tenant=("acme", "globex")[i % 2])
+                for i, sample in enumerate(samples)
+            ]
+            for ticket in tickets:
+                ticket.result(timeout=60.0)
+        finally:
+            engine.stop()
+        # Child processes emit no ``rebuild.layer`` spans yet.
+        spans = [s for s in obs.spans() if s["name"] != "rebuild.layer"]
+        return engine, obs, ledger, spans
+
+    def test_traced_ledgered_mix_matches_across_backends(self, handle):
+        seen = {}
+        for backend in ("thread", "process"):
+            engine, obs, ledger, spans = self.serve_traced(handle, backend)
+            kinds = [(s["name"], bool(s["tags"].get("shared"))) for s in spans]
+            counts = Counter(
+                (*kind, "error" in s["tags"]) for kind, s in zip(kinds, spans)
+            )
+            tag_keys = {
+                (*kind, frozenset(s["tags"])) for kind, s in zip(kinds, spans)
+            }
+            breakdown = {
+                phase: row["count"]
+                for phase, row in obs.latency_breakdown().items()
+            }
+            assert engine.stats.failed_requests == 1
+            assert ledger.total_served() == 64
+            assert ledger.usage_report("acme").failed == 1
+            assert ledger.total_rebuild_seconds() == pytest.approx(
+                engine.rebuild.stats.rebuild_seconds, abs=1e-9
+            )
+            backends = {s["tags"].get("backend") for s in spans}
+            assert backends == {backend, None}  # ``request`` roots: none
+            seen[backend] = counts, tag_keys, breakdown
+            engine.close()
+        (counts, tag_keys, breakdown), other = seen["thread"], seen["process"]
+        assert counts == other[0]
+        assert tag_keys == other[1]
+        assert breakdown == other[2]
+        assert counts[("queue_wait", False, False)] == 65
+        assert counts[("request", False, False)] == 64
+        assert counts[("request", False, True)] == 1
+        for phase in ("rebuild", "compute"):
+            assert counts[(phase, True, False)] == 48
+        # The malformed sample's batch rebuilds, then fails in compute.
+        assert counts[("rebuild", False, False)] == 17
+        assert counts[("compute", False, False)] == 16
+        assert counts[("compute", False, True)] == 1
+
+
+    def test_stamped_run_failing_in_fetch_gets_an_error_rebuild_span(
+        self, handle
+    ):
+        """A child run with no spans that raised while fetching layers
+        (``installed`` is None) gives its primary one ``rebuild`` span
+        tagged with the error, no ``compute`` span, and fails the batch."""
+        obs = Observability()
+        engine = InferenceEngine(
+            build_model(seed=123), handle, observability=obs
+        )
+        trace = obs.begin_request(engine=handle.key)
+        ticket = RequestQueue().submit(np.zeros((3, 8, 8)), trace=trace)
+        batch_id = engine.dequeued([ticket], 0, "process")
+        run = BatchRun(None, 1.0, None, 1.5, error=MemoryError("decode"))
+        engine.completed([ticket], batch_id, 0, "process", run, 2.0)
+        with pytest.raises(MemoryError):
+            ticket.result(timeout=1.0)
+        phases = [
+            (s["name"], s["duration_s"], s["tags"].get("error"))
+            for s in obs.spans()
+            if s["name"] in ("rebuild", "compute")
+        ]
+        assert phases == [("rebuild", 0.5, "MemoryError")]
+        assert engine.stats.failed_requests == 1
+        assert engine.stats.summary()["batches"] == 0
+
+
+class TestProcessPhaseTimes:
+    def test_one_worker_phase_windows_never_overlap(self, handle, rng):
+        """Phase spans carry the child's own stamps: one worker runs
+        its batches back to back, so no two batches' rebuild-to-compute
+        windows overlap, even with a second batch queued in its pipe."""
+        obs = Observability()
+        engine = InferenceEngine(
+            build_model(seed=123),
+            handle,
+            policy=StaticBatchPolicy(max_batch_size=4, max_wait_s=0.002),
+            cache_bytes=0,
+            observability=obs,
+        )
+        rows = serve_all(
+            engine, rng.normal(size=(400, 3, 8, 8)), workers=1,
+            backend="process",
+        )
+        assert len(rows) == 400
+        windows = {}
+        for span in obs.spans():
+            tags = span["tags"]
+            phase = span["name"] in ("rebuild", "compute")
+            if not phase or tags.get("shared"):
+                continue
+            start, end = span["start_s"], span["start_s"] + span["duration_s"]
+            lo, hi = windows.get(tags["batch_id"], (start, end))
+            windows[tags["batch_id"]] = (min(lo, start), max(hi, end))
+        ordered = sorted(windows.values())
+        assert len(ordered) >= 100
+        overlaps = sum(
+            1
+            for (_, end), (start, _) in zip(ordered, ordered[1:])
+            if start < end
+        )
+        assert overlaps == 0
+        engine.close()
+
+
 class TestWireFormat:
     """Every envelope survives the pipe (pickle) byte-for-byte."""
 
     def test_batch_envelope_round_trips(self, rng):
         batch = rng.normal(size=(4, 3, 8, 8))
-        envelope = BatchEnvelope(batch_id=7, batch=batch, size=4)
+        envelope = BatchEnvelope(batch_id=7, batch=batch)
         clone = pickle.loads(pickle.dumps(envelope))
         assert clone.batch_id == 7
-        assert clone.size == 4
         np.testing.assert_array_equal(clone.batch, batch)
 
     def test_batch_result_round_trips(self, rng):
@@ -177,8 +321,9 @@ class TestWireFormat:
             batch_id=3,
             rows=rows,
             error=None,
-            install_seconds=0.25,
-            forward_seconds=0.5,
+            start=0.25,
+            installed=0.5,
+            finished=1.0,
             rebuild_totals={"hits": 2, "rebuild_seconds": 0.01},
         )
         clone = pickle.loads(pickle.dumps(result))
@@ -190,8 +335,6 @@ class TestWireFormat:
             batch_id=1,
             rows=None,
             error=ValueError("bad batch"),
-            install_seconds=0.0,
-            forward_seconds=0.0,
         )
         clone = pickle.loads(pickle.dumps(result))
         assert isinstance(clone.error, ValueError)

@@ -23,6 +23,7 @@ from repro.serving import (
     ServingError,
     per_ticket_error,
 )
+from repro.tenancy import TenantLedger
 
 from tests.serving.conftest import build_model
 
@@ -316,6 +317,40 @@ class TestStopRestartRace:
         with engine:
             ticket = engine.submit(inputs[0])
             assert ticket.result(timeout=30.0).shape == (4,)
+
+
+class TestDeadWorkerDrain:
+    def test_drained_tickets_are_counted_failed(self, handle, inputs):
+        """A dying worker thread drains the queue through the engine's
+        ``failed``: queued tickets fail and are booked in the stats and
+        the tenant ledger, as the process backend's drain books them."""
+        ledger = TenantLedger()
+        engine = InferenceEngine(
+            build_model(seed=123),
+            handle,
+            policy=StaticBatchPolicy(max_batch_size=4, max_wait_s=0.002),
+            ledger=ledger,
+        )
+        entered, release = threading.Event(), threading.Event()
+
+        def dying_run(requests, worker):
+            entered.set()
+            release.wait(30.0)
+            raise RuntimeError("worker bug")
+
+        engine._run_requests = dying_run
+        engine.start()
+        engine.submit(inputs[0], tenant="acme")  # held by the dying run
+        assert entered.wait(10.0)
+        queued = [engine.submit(s, tenant="acme") for s in inputs[1:4]]
+        release.set()
+        for ticket in queued:
+            with pytest.raises(RuntimeError, match="worker bug"):
+                ticket.result(timeout=10.0)
+        assert engine.stats.failed_requests == 3
+        assert ledger.usage_report("acme").failed == 3
+        with pytest.raises(ServingError, match="worker died"):
+            engine.stop()
 
 
 class TestSubmitStopRace:
