@@ -114,10 +114,6 @@ class ResNet(nn.Module):
         x = self.blocks(x)
         return self.fc(self.flatten(self.pool(x)))
 
-    def forward_features(self, x: nn.Tensor) -> nn.Tensor:
-        """Backbone features (used by DeepLabV3+)."""
-        return self.blocks(self.stem(x))
-
 
 def resnet50(num_classes: int = 1000, width_mult: float = 1.0, seed: int = 0,
              **kwargs) -> ResNet:

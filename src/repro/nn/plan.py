@@ -4,9 +4,10 @@ The autograd substrate (:mod:`repro.nn.tensor`) is built for training:
 every eval forward still records tape closures, eval batch-norm makes
 four full passes, max-pool computes an argmax for a backward that never
 runs, and every call allocates fresh temporaries.  :func:`compile_eval`
-lowers a module tree once, for one per-sample input shape, into an
-:class:`EvalPlan` — a flat list of float64 numpy kernels that write
-with ``out=`` into views of a single workspace.
+lowers a module tree once, for one per-sample input shape and one
+floating dtype (float64 by default), into an :class:`EvalPlan` — a
+flat list of numpy kernels that write with ``out=`` into views of a
+single workspace.
 
 Lowering, per module type (exact type; a subclass with its own
 ``forward`` is not lowered):
@@ -28,19 +29,25 @@ Lowering, per module type (exact type; a subclass with its own
   *fallback step*: that subtree runs through the autograd forward and
   its output is copied into the workspace.
 
-Every buffer (activations, padded inputs, activation scratch) gets a
+Every activation buffer (activations, activation scratch) gets a
 liveness interval at compile time; buffers whose intervals overlap get
 disjoint offsets, the rest share memory.  Buffer sizes all scale with
 the batch, so one workspace sized for the largest batch run so far
-serves every smaller batch through leading views.  im2col columns are
-one separate array of at most 256 KiB, unrolled a chunk of samples at
-a time.  A warm call allocates nothing but its fresh output rows.
+serves every smaller batch through leading views.  Padded inputs of
+convs and pools stay out of that packing: each has its own array,
+sized for the same largest batch, whose frame (0, or -inf for
+max-pool) is written once when the array is made, so a call copies
+only the interior.  im2col columns are one separate array of at most
+1 MiB, unrolled a chunk of samples at a time; a whole batch of 16 of
+the serving benchmark's CNN fits in one chunk at float32.  A warm call
+allocates nothing but its fresh output rows.
 
 Batch-norm statistics, biases and other non-weight state are read when
-the plan is compiled; ``weight`` arrays are read on every call — from
-the module, or from the ``weights`` mapping a call passes (by
-reference, never copied, for lowered layers; the plan drops those
-references when the call returns).  A plan is not
+the plan is compiled and cast to the plan's dtype; ``weight`` arrays
+are read on every call — from the module, or from the ``weights``
+mapping a call passes — and each lowered layer's weight is cast once
+per call into that step's own scratch in the plan's dtype, so the
+plan keeps no reference to them once the call returns.  A plan is not
 thread-safe: each thread that runs one owns it.
 """
 
@@ -61,24 +68,23 @@ from repro.nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from repro.nn.tensor import Tensor
 
 Shape = Tuple[int, ...]
-# Buffer offsets are rounded up to this many float64 elements (64
-# bytes) per sample, so every view starts cache-line aligned.
-_ALIGN = 8
+# Buffer offsets are rounded up to this many bytes per sample, so
+# every view starts cache-line aligned.
+_ALIGN_BYTES = 64
 # Ufunc iterator buffer size (elements) while a plan runs.  Broadcast
 # and strided operands (the epilogue's per-channel scale, max-pool's
 # windows) go through numpy's buffered iterator, which otherwise
 # allocates 64 KiB per operand per call; 8 KiB buffers run as fast.
 _BUFSIZE = 1024
-# Size (elements) of a plan's im2col columns: convs unroll and multiply
-# this many columns' worth of samples at a time.  Unrolling whole b16
-# batches instead measured +1.5 MB peak RSS on the serving benchmark's
-# warm-thread workload (three plans; 2-CPU x86-64 host) at unchanged
-# throughput.
-_COLS_CHUNK = 32768
+# Bytes of a plan's im2col columns: a conv unrolls and multiplies as
+# many samples at a time as fit.  A whole batch of 16 of the serving
+# benchmark's CNN fits at float32 (442 KB for its first conv, 590 KB
+# for its second), so each of its convs is one unroll and one matmul.
+_COLS_BYTES = 1 << 20
 
 
 class _Buffer:
-    """One workspace region of ``size`` float64s per sample, live from
+    """One workspace region of ``size`` elements per sample, live from
     step ``first`` to step ``last`` inclusive."""
 
     __slots__ = ("size", "first", "last", "offset")
@@ -99,14 +105,36 @@ class _Value:
         self.shape = tuple(int(d) for d in shape)
 
 
+class _Pad:
+    """A padded copy of a conv or pool input, ``shape`` per sample.
+    It lives in its own array, outside the packed workspace, so its
+    ``fill`` frame is written once, when the array is made."""
+
+    __slots__ = ("shape", "size", "fill")
+
+    def __init__(self, shape: Shape, fill: float) -> None:
+        self.shape = shape
+        self.size = int(np.prod(shape, dtype=np.int64))
+        self.fill = fill
+
+
 class _Views:
     """Batch-``n`` views of the workspace, every buffer laid out for
-    ``n`` samples, plus the plan's im2col ``columns``."""
+    ``n`` samples, plus the plan's im2col ``columns`` and its padded
+    arrays."""
 
-    def __init__(self, workspace: np.ndarray, columns: np.ndarray, n: int) -> None:
+    def __init__(
+        self,
+        workspace: np.ndarray,
+        columns: np.ndarray,
+        pads: Mapping[_Pad, np.ndarray],
+        n: int,
+    ) -> None:
         self.workspace = workspace
         self.columns = columns
+        self.pads = pads
         self.n = n
+        self.dtype = workspace.dtype
 
     def __call__(self, buffer: _Buffer, shape: Shape) -> np.ndarray:
         n = self.n
@@ -116,6 +144,14 @@ class _Views:
 
     def value(self, value: _Value) -> np.ndarray:
         return self(value.buffer, value.shape)
+
+    def padded(self, pad: _Pad) -> np.ndarray:
+        """The leading ``n`` samples of ``pad``'s array: a batch of any
+        size sees the same pre-filled frames."""
+        return self.pads[pad][: pad.size * self.n].reshape((self.n,) + pad.shape)
+
+    def cast(self, array: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        return None if array is None else array.astype(self.dtype, copy=False)
 
 
 # ----------------------------------------------------------------------
@@ -151,27 +187,17 @@ def _epilogue(
 
 
 def _padded_source(
-    views: _Views, x: np.ndarray, padded: Optional[_Buffer], pad: int,
-    fill: float,
-) -> Tuple[np.ndarray, List[Callable]]:
+    views: _Views, x: np.ndarray, padded: Optional[_Pad], pad: int
+) -> Tuple[np.ndarray, Optional[Callable[[], None]]]:
     """The array a kernel slides over — ``x`` itself, or its copy into
-    the ``padded`` buffer — plus the kernels that fill that buffer.
-    The frame is re-filled on every call: the buffer's memory is shared
-    with other steps."""
+    the ``padded`` array — plus the kernel that copies ``x`` into that
+    array's interior (its frame is already filled)."""
     if padded is None:
-        return x, []
-    _, c, h, w = x.shape
-    src = views(padded, (c, h + 2 * pad, w + 2 * pad))
-    frames = (
-        src[:, :, :pad, :],
-        src[:, :, -pad:, :],
-        src[:, :, pad:-pad, :pad],
-        src[:, :, pad:-pad, -pad:],
-    )
-    prep: List[Callable] = [lambda f=frame: f.fill(fill) for frame in frames]
+        return x, None
+    _, _, h, w = x.shape
+    src = views.padded(padded)
     interior = src[:, :, pad : pad + h, pad : pad + w]
-    prep.append(lambda: np.copyto(interior, x))
-    return src, prep
+    return src, lambda: np.copyto(interior, x)
 
 
 def _window(src: np.ndarray, i: int, j: int, out_h: int, out_w: int,
@@ -188,17 +214,19 @@ def _window(src: np.ndarray, i: int, j: int, out_h: int, out_w: int,
 
 class _Gemm(_Step):
     """A weighted layer (conv or linear) with an optional folded
-    per-channel scale/shift/clamp epilogue.  ``weight`` is bound for
-    the duration of each call and reset to the module's own after."""
+    per-channel scale/shift/clamp epilogue.  Each call casts the layer's
+    weight into ``weight``, the step's own array in the plan's dtype,
+    which keeps the module weight's shape and layout."""
 
-    def __init__(self, name: str, module: Module, x: _Value, out: _Value) -> None:
+    def __init__(self, name: str, module: Module, x: _Value, out: _Value,
+                 dtype: np.dtype) -> None:
         self.name = name
         self.module = module
         self.x, self.out = x, out
         self.scale: Optional[np.ndarray] = None
         self.shift: Optional[np.ndarray] = None
         self.activation: Optional[str] = None
-        self.weight: np.ndarray = module.weight.data
+        self.weight = np.empty(module.weight.data.shape, dtype)
         if module.bias is not None:
             self.shift = module.bias.data.copy()
 
@@ -219,8 +247,8 @@ class _Conv(_Gemm):
     kind = "conv"
 
     def __init__(self, name: str, module: Conv2d, x: _Value, out: _Value,
-                 padded: Optional[_Buffer], per_chunk: int) -> None:
-        super().__init__(name, module, x, out)
+                 dtype: np.dtype, padded: Optional[_Pad], per_chunk: int) -> None:
+        super().__init__(name, module, x, out, dtype)
         # Samples unrolled per im2col chunk; 0 for a pointwise conv,
         # whose input already is its columns.
         self.padded, self.per_chunk = padded, per_chunk
@@ -235,12 +263,13 @@ class _Conv(_Gemm):
         n, length = views.n, out_h * out_w
         x = views.value(self.x)
         out3 = views(self.out.buffer, (m, length))
-        src, prep = _padded_source(views, x, self.padded, pad, 0.0)
-        scale = None if self.scale is None else self.scale[:, None]
-        shift = None if self.shift is None else self.shift[:, None]
+        src, prep = _padded_source(views, x, self.padded, pad)
+        scale = None if self.scale is None else views.cast(self.scale[:, None])
+        shift = None if self.shift is None else views.cast(self.shift[:, None])
         activation = self.activation
         k = c_per_group * kh * kw
         m_per_group = m // groups
+        weight = self.weight.reshape(groups, m_per_group, k)
         out4 = out3.reshape(n, groups, m_per_group, length)
         # (im2col copy or None, columns, output) per chunk of samples;
         # every sample is its own GEMM, so chunking changes no bits.
@@ -266,12 +295,10 @@ class _Conv(_Gemm):
                     (lambda t=target, p=patches[lo:hi]: np.copyto(t, p),
                      target.reshape(hi - lo, groups, k, length), out4[lo:hi])
                 )
-        step = self
 
         def kernel() -> None:
-            for fn in prep:
-                fn()
-            weight = step.weight.reshape(groups, m_per_group, k)
+            if prep is not None:
+                prep()
             for unroll, columns, out in chunks:
                 if unroll is not None:
                     unroll()
@@ -286,11 +313,12 @@ class _Linear(_Gemm):
 
     def bind(self, views: _Views) -> Callable[[], None]:
         x, out = views.value(self.x), views.value(self.out)
-        scale, shift, activation = self.scale, self.shift, self.activation
-        step = self
+        scale, shift = views.cast(self.scale), views.cast(self.shift)
+        activation = self.activation
+        weight = self.weight.T
 
         def kernel() -> None:
-            np.matmul(x, step.weight.T, out=out)
+            np.matmul(x, weight, out=out)
             _epilogue(out, scale, shift, activation)
 
         return kernel
@@ -312,7 +340,7 @@ class _Affine(_Step):
 
     def bind(self, views: _Views) -> Callable[[], None]:
         x = views.value(self.x)
-        scale, shift = self.scale, self.shift
+        scale, shift = views.cast(self.scale), views.cast(self.shift)
         return lambda: _epilogue(x, scale, shift, None)
 
 
@@ -362,7 +390,7 @@ class _Pool(_Step):
     """Max or average pooling as a pairwise fold over ``k*k`` views."""
 
     def __init__(self, kind: str, module, x: _Value, out: _Value,
-                 padded: Optional[_Buffer]) -> None:
+                 padded: Optional[_Pad]) -> None:
         self.kind = kind
         self.module = module
         self.x, self.out, self.padded = x, out, padded
@@ -373,9 +401,7 @@ class _Pool(_Step):
         _, out_h, out_w = self.out.shape
         x, out = views.value(self.x), views.value(self.out)
         is_max = self.kind == "maxpool"
-        src, prep = _padded_source(
-            views, x, self.padded, pad, -np.inf if is_max else 0.0
-        )
+        src, prep = _padded_source(views, x, self.padded, pad)
         windows = [
             _window(src, i, j, out_h, out_w, stride)
             for i in range(k)
@@ -385,8 +411,8 @@ class _Pool(_Step):
         count = float(k * k)
 
         def kernel() -> None:
-            for fn in prep:
-                fn()
+            if prep is not None:
+                prep()
             if len(windows) == 1:
                 np.copyto(out, windows[0])
             else:
@@ -468,9 +494,11 @@ def _is_eval_bn(module: Module, ndim: int) -> bool:
 
 
 class _Compiler:
-    def __init__(self) -> None:
+    def __init__(self, dtype: np.dtype) -> None:
+        self.dtype = dtype
         self.steps: List[_Step] = []
         self.buffers: List[_Buffer] = []
+        self.pads: List[_Pad] = []
         # im2col columns live only inside their own conv step, so one
         # array sized for the largest chunk serves every conv.
         self.columns_size = 0
@@ -487,6 +515,14 @@ class _Compiler:
 
     def new_value(self, shape: Shape) -> _Value:
         return _Value(self.new_buffer(shape), shape)
+
+    def new_pad(self, x: _Value, pad: int, fill: float) -> Optional[_Pad]:
+        if not pad:
+            return None
+        c, h, w = x.shape
+        padded = _Pad((c, h + 2 * pad, w + 2 * pad), fill)
+        self.pads.append(padded)
+        return padded
 
     def use(self, value: _Value) -> None:
         value.buffer.last = max(value.buffer.last, self.step_index)
@@ -526,7 +562,9 @@ class _Compiler:
                     f"input features, got {features}"
                 )
             self.use(x)
-            step = _Linear(name, module, x, self.new_value((module.out_features,)))
+            step = _Linear(
+                name, module, x, self.new_value((module.out_features,)), self.dtype
+            )
             self.add(step)
             return step
         if len(x.shape) != 3:
@@ -551,14 +589,14 @@ class _Compiler:
                 f"does not fit input {h + 2 * pad}x{w + 2 * pad}"
             )
         self.use(x)
-        padded = self.new_buffer((c, h + 2 * pad, w + 2 * pad)) if pad else None
+        padded = self.new_pad(x, pad, 0.0)
         per_chunk = 0
         if not (kh == kw == 1 and stride == 1 and not pad):
             per_sample = c * kh * kw * out_h * out_w
-            per_chunk = max(1, _COLS_CHUNK // per_sample)
+            per_chunk = max(1, _COLS_BYTES // (per_sample * self.dtype.itemsize))
             self.columns_size = max(self.columns_size, per_chunk * per_sample)
         out = self.new_value((m, out_h, out_w))
-        step = _Conv(name, module, x, out, padded, per_chunk)
+        step = _Conv(name, module, x, out, self.dtype, padded, per_chunk)
         self.add(step)
         return step
 
@@ -591,10 +629,10 @@ class _Compiler:
                     f"{h + 2 * pad}x{w + 2 * pad}"
                 )
             self.use(x)
-            padded = self.new_buffer((c, h + 2 * pad, w + 2 * pad)) if pad else None
+            is_max = kind is MaxPool2d
+            padded = self.new_pad(x, pad, -np.inf if is_max else 0.0)
             out = self.new_value((c, out_h, out_w))
-            pool = "maxpool" if kind is MaxPool2d else "avgpool"
-            self.add(_Pool(pool, module, x, out, padded))
+            self.add(_Pool("maxpool" if is_max else "avgpool", module, x, out, padded))
             return out
         if kind is GlobalAvgPool2d and len(x.shape) == 3:
             self.use(x)
@@ -620,16 +658,17 @@ class _Compiler:
         return out
 
 
-def _assign_offsets(buffers: Sequence[_Buffer]) -> int:
+def _assign_offsets(buffers: Sequence[_Buffer], align: int) -> int:
     """Greedy interval packing: largest buffers first, each at the
-    lowest offset clear of every placed buffer it is live alongside.
-    Returns the packed size in float64 elements."""
+    lowest offset (a multiple of ``align`` elements) clear of every
+    placed buffer it is live alongside.  Returns the packed size in
+    elements."""
     placed: List[_Buffer] = []
     total = 0
     for buffer in sorted(buffers, key=lambda b: (-b.size, b.first)):
-        size = -(-buffer.size // _ALIGN) * _ALIGN
+        size = -(-buffer.size // align) * align
         busy = sorted(
-            (other.offset, other.offset + -(-other.size // _ALIGN) * _ALIGN)
+            (other.offset, other.offset + -(-other.size // align) * align)
             for other in placed
             if other.first <= buffer.last and buffer.first <= other.last
         )
@@ -645,24 +684,32 @@ def _assign_offsets(buffers: Sequence[_Buffer]) -> int:
 
 
 class EvalPlan:
-    """A compiled, tape-free float64 forward for one sample shape.
+    """A compiled, tape-free forward for one sample shape and dtype.
 
     Call the plan with a ``(N, *sample_shape)`` batch; it returns a
-    fresh ``(N, *output_shape)`` float64 array — never a view of the
-    workspace, so callers may hand rows out.
+    fresh ``(N, *output_shape)`` array of the plan's ``dtype`` — never
+    a view of the workspace, so callers may hand rows out.
     """
 
-    def __init__(self, model: Module, sample_shape: Shape) -> None:
+    def __init__(
+        self, model: Module, sample_shape: Shape, dtype: np.dtype = np.float64
+    ) -> None:
         self.sample_shape = tuple(int(d) for d in sample_shape)
-        compiler = _Compiler()
+        self.dtype = np.dtype(dtype)
+        if self.dtype.kind != "f":
+            raise ValueError(f"plan dtype must be floating, got {self.dtype}")
+        compiler = _Compiler(self.dtype)
         self._input = compiler.new_value(self.sample_shape)
         self._output = compiler.compile(model, self._input)
         compiler.use(self._output)
         self._steps = compiler.steps
-        self._per_sample = _assign_offsets(compiler.buffers)
-        self._columns = np.empty(compiler.columns_size)
+        self._per_sample = _assign_offsets(
+            compiler.buffers, max(1, _ALIGN_BYTES // self.dtype.itemsize)
+        )
+        self._pad_specs = compiler.pads
+        self._columns = np.empty(compiler.columns_size, self.dtype)
         self.output_shape = self._output.shape
-        # Layer name -> the lowered step whose weight slot it fills;
+        # Layer name -> the lowered step whose weight array it fills;
         # weighted modules under a fallback step are installed into the
         # module instead (autograd reads them there).
         self._slots: Dict[str, _Gemm] = {}
@@ -675,7 +722,8 @@ class EvalPlan:
                     if getattr(module, "weight", None) is not None:
                         self._fallback_modules[sub] = module
         self._capacity = 0
-        self._workspace = np.empty(0)
+        self._workspace = np.empty(0, self.dtype)
+        self._pads: Dict[_Pad, np.ndarray] = {}
         self._bound: Dict[int, Tuple[np.ndarray, np.ndarray, List[Callable]]] = {}
 
     # -- introspection --------------------------------------------------
@@ -690,7 +738,11 @@ class EvalPlan:
 
     @property
     def workspace_bytes(self) -> int:
-        return int(self._workspace.nbytes + self._columns.nbytes)
+        """Bytes the plan holds: workspace, im2col columns, padded
+        arrays and the lowered layers' weight arrays."""
+        arrays = [self._workspace, self._columns, *self._pads.values()]
+        arrays += [step.weight for step in self._slots.values()]
+        return int(sum(array.nbytes for array in arrays))
 
     # -- execution ------------------------------------------------------
     def _bind(self, n: int):
@@ -698,10 +750,14 @@ class EvalPlan:
         if bound is not None:
             return bound
         if n > self._capacity:
-            self._workspace = np.empty(self._per_sample * n)
+            self._workspace = np.empty(self._per_sample * n, self.dtype)
+            self._pads = {
+                pad: np.full(pad.size * n, pad.fill, self.dtype)
+                for pad in self._pad_specs
+            }
             self._capacity = n
             self._bound.clear()
-        views = _Views(self._workspace, self._columns, n)
+        views = _Views(self._workspace, self._columns, self._pads, n)
         bound = (
             views.value(self._input),
             views.value(self._output),
@@ -731,26 +787,33 @@ class EvalPlan:
                     module.weight.data[...] = weight
         n = batch.shape[0]
         if n == 0:
-            return np.empty((0,) + self.output_shape)
+            return np.empty((0,) + self.output_shape, self.dtype)
         x, y, kernels = self._bind(n)
         np.copyto(x, batch, casting="same_kind")
+        for name, step in self._slots.items():
+            weight = None if weights is None else weights.get(name)
+            if weight is None:
+                weight = step.module.weight.data
+            elif weight.shape != step.weight.shape:
+                raise ValueError(
+                    f"layer {name!r} expects a weight of shape "
+                    f"{step.weight.shape}, got {weight.shape}"
+                )
+            np.copyto(step.weight, weight, casting="same_kind")
         bufsize = np.setbufsize(_BUFSIZE)  # per-thread setting
         try:
-            for name, step in self._slots.items():
-                weight = None if weights is None else weights.get(name)
-                step.weight = step.module.weight.data if weight is None else weight
             for kernel in kernels:
                 kernel()
         finally:
             np.setbufsize(bufsize)
-            for step in self._slots.values():
-                step.weight = step.module.weight.data
         return y.copy()
 
 
-def compile_eval(model: Module, sample_shape: Sequence[int]) -> EvalPlan:
+def compile_eval(
+    model: Module, sample_shape: Sequence[int], dtype=np.float64
+) -> EvalPlan:
     """Lower ``model`` to an :class:`EvalPlan` for ``(N, *sample_shape)``
-    batches.  Raises ``ValueError`` when the shape does not fit the
-    model (wrong rank, channel count, or a kernel larger than its
-    input)."""
-    return EvalPlan(model, tuple(sample_shape))
+    batches computed in ``dtype`` (a numpy floating type).  Raises
+    ``ValueError`` when the shape does not fit the model (wrong rank,
+    channel count, or a kernel larger than its input)."""
+    return EvalPlan(model, tuple(sample_shape), dtype)

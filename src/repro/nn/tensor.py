@@ -408,8 +408,3 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     data = np.concatenate([t.data for t in tensors], axis=axis)
     return Tensor._node(data, tuple(tensors), backward, "concat")
-
-
-def stack_parameters(tensors: Sequence[Tensor]) -> List[np.ndarray]:
-    """Convenience: the raw arrays of a sequence of tensors."""
-    return [t.data for t in tensors]

@@ -503,6 +503,7 @@ class InferenceEngine:
         self.stop()
 
     def _serve_loop(self, queue: RequestQueue, worker: _Worker) -> None:
+        requests: List[Ticket] = []
         try:
             while True:
                 try:
@@ -512,11 +513,15 @@ class InferenceEngine:
                 if not requests:
                     continue
                 self._run_requests(requests, worker)
-        except BaseException as error:  # pragma: no cover - defensive
+        except BaseException as error:
             # Lock-free on purpose: a single reference store (atomic
             # under the GIL) that submit() reads racily; last writer
             # winning is fine — any dead worker fails the engine.
             self._worker_error = error  # repro: ignore[LCK001]
+            # The batch this worker held goes first, then the queue.
+            held = [r for r in requests if not r.done()]
+            if held:
+                self.failed(held, next(self._batch_ids), error)
             self._fail_pending(queue, error)
 
     def _run_requests(self, requests: List[Ticket], worker: _Worker) -> None:

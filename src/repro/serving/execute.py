@@ -8,9 +8,12 @@ model skeleton plus its single compiled :class:`~repro.nn.plan.EvalPlan`
 1. **rebuild** — fetch every compressed layer from
    :meth:`RebuildEngine.layer_weight`, in spec order (the order
    :class:`~repro.serving.simulator.CacheSimulator` replays);
-2. **compute** — run the plan with those read-only arrays bound by
-   reference: nothing is copied into the skeleton except the weights
-   of layers the plan could not lower (which run through autograd).
+2. **compute** — run the plan, in float32, with those read-only
+   arrays: the plan casts each lowered layer's weight into its own
+   float32 array, and nothing is copied into the skeleton except the
+   weights of layers the plan could not lower (which run through
+   autograd).  Served rows are float32; the fetched weights (and the
+   cache, tiers and arena behind them) stay float64.
 
 With a tracer, each phase is a span (``rebuild`` / ``compute``) and
 the per-layer ``rebuild.layer`` spans nest under the first.
@@ -53,7 +56,7 @@ def _layer_names(model: nn.Module, specs: Mapping[str, Any]) -> Tuple[str, ...]:
 
 
 class SkeletonPlan:
-    """One skeleton and the single eval plan compiled for it.
+    """One skeleton and the single float32 eval plan compiled for it.
 
     The plan is compiled on the first batch and again whenever the
     sample shape changes; a shape that does not fit the model raises
@@ -70,7 +73,9 @@ class SkeletonPlan:
     def plan_for(self, sample_shape: Tuple[int, ...]) -> EvalPlan:
         plan = self._plan
         if plan is None or plan.sample_shape != tuple(sample_shape):
-            plan = self._plan = compile_eval(self.model, sample_shape)
+            plan = self._plan = compile_eval(
+                self.model, sample_shape, np.float32
+            )
         return plan
 
 

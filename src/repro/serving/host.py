@@ -43,6 +43,7 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Tuple,
     Union,
     runtime_checkable,
 )
@@ -253,6 +254,11 @@ class ServingHost:
             self.observability.register_metrics(ledger.metrics, name="tenancy")
         self._lock = threading.Lock()
         self._entries: "Dict[str, _HostedEngine]" = {}
+        # Model name, engine key, or None (the whole fleet) -> its
+        # candidates in fleet order.  Replaced whole, under the lock,
+        # whenever an engine joins; never mutated, so _route reads it
+        # without the lock.
+        self._routes: "Dict[Optional[str], Tuple[_HostedEngine, ...]]" = {}
         self._workers = 0  # >0 while started; hot-added engines match it
         self._backend = "thread"  # execution backend the fleet started with
 
@@ -320,6 +326,11 @@ class ServingHost:
                 replica += 1
                 key = f"{base}#{replica}"
             self._entries[key] = _HostedEngine(key, model, engine, self.stats)
+            routes: "Dict[Optional[str], List[_HostedEngine]]" = {}
+            for entry in self._entries.values():
+                for name in dict.fromkeys((None, entry.model, entry.key)):
+                    routes.setdefault(name, []).append(entry)
+            self._routes = {name: tuple(group) for name, group in routes.items()}
             workers = self._workers
             backend = self._backend
         if workers:
@@ -416,12 +427,9 @@ class ServingHost:
     ) -> _HostedEngine:
         obs = self.observability
         route_start = time.perf_counter() if obs.enabled else 0.0
-        with self._lock:
-            candidates = [
-                entry
-                for entry in self._entries.values()
-                if model is None or model in (entry.model, entry.key)
-            ]
+        # One racy read of an immutable map (see __init__): an engine
+        # added concurrently is routed to from the next request on.
+        candidates = self._routes.get(model, ())  # repro: ignore[LCK001]
         if not candidates:
             known = self.models()
             raise ServingError(

@@ -171,11 +171,17 @@ class TestOpCoverage:
         assert plan.steps == ["maxpool"]
 
     def test_max_pool_of_all_negative_input_keeps_padding_out(self):
+        """A frame read as anything but -inf would win a window's
+        maximum, at any batch size and dtype."""
         model = nn.Sequential(nn.MaxPool2d(3, stride=2, padding=1)).eval()
-        x = -1.0 - np.random.default_rng(0).random((2, 2, 5, 5))
-        np.testing.assert_array_equal(
-            compile_eval(model, (2, 5, 5))(x), reference(model, x)
-        )
+        rng = np.random.default_rng(0)
+        for dtype in (np.float64, np.float32):
+            plan = compile_eval(model, (2, 5, 5), dtype)
+            for batch in (4, 1, 3):
+                x = -1.0 - rng.random((batch, 2, 5, 5))
+                np.testing.assert_array_equal(
+                    plan(x), reference(model, x).astype(dtype)
+                )
 
     def test_avg_pool(self):
         check_layout([nn.AvgPool2d(2)], (3, 8, 8))
@@ -265,22 +271,92 @@ class TestBenchLayout:
 
     def test_warm_batch_allocates_under_64_kib(self):
         """Measured on a 2-CPU x86-64 host, numpy 2.4.6, warm b16 call:
-        tracemalloc peak 18.6 KB for the plan (its fresh output rows
-        plus ufunc iterator buffers) against 5.65 MB for the autograd
-        forward of the same batch."""
+        tracemalloc peak 18.6 KB for the float64 plan (its fresh output
+        rows plus ufunc iterator buffers) against 5.65 MB for the
+        autograd forward of the same batch; 9.7 KB for the float32
+        plan."""
         model = bench_cnn()
-        plan = compile_eval(model, (3, 16, 16))
         x = np.random.default_rng(0).normal(size=(16, 3, 16, 16))
-        plan(x)
-        plan(x)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
+        for dtype in (np.float64, np.float32):
+            plan = compile_eval(model, (3, 16, 16), dtype)
             plan(x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
+            plan(x)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                plan(x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024, dtype
+
+
+def float32_mix(rng) -> nn.Module:
+    """Every padded step, a depthwise conv and a fallback step."""
+    from repro.nn.models.resnet import Bottleneck
+
+    model = nn.Sequential(
+        nn.Conv2d(3, 8, 3, padding=2, bias=False, rng=rng),
+        nn.BatchNorm2d(8),
+        nn.ReLU(),
+        nn.MaxPool2d(3, 2, padding=1),
+        nn.Conv2d(8, 8, 3, padding=1, groups=8, bias=False, rng=rng),
+        nn.BatchNorm2d(8),
+        nn.ReLU6(),
+        Bottleneck(8, 2, rng=rng),
+        nn.AvgPool2d(3, stride=1, padding=1),
+        nn.GlobalAvgPool2d(),
+        nn.Flatten(),
+        nn.Linear(8, 5, rng=rng),
+    )
+    randomize_bn(model, rng)
+    return model.eval()
+
+
+class TestFloat32:
+    # Measured: at most 5.4 float32 ulps of the output's scale, over
+    # 20 seeds of this test's model and batch sizes.
+    ULPS = 32
+
+    def test_tracks_the_float64_plan_across_batch_sizes(self, rng):
+        """One float32 plan, batches that grow, shrink and grow again:
+        a pad frame another batch size overwrote would show here."""
+        model = float32_mix(rng)
+        shape = (3, 10, 10)
+        plan32 = compile_eval(model, shape, np.float32)
+        plan64 = compile_eval(model, shape)
+        assert plan32.fallback_steps == 1
+        assert plan32.steps == [
+            "conv+bn+relu", "maxpool", "conv+bn+relu6",
+            "fallback:Bottleneck", "avgpool", "gap", "linear",
+        ]
+        eps = float(np.finfo(np.float32).eps)
+        for batch in (16, 3, 7, 16, 1):
+            x = rng.normal(size=(batch, *shape))
+            out, ref = plan32(x), plan64(x)
+            assert out.dtype == np.float32
+            scale = float(np.abs(ref).max())
+            assert float(np.abs(out - ref).max()) <= self.ULPS * eps * scale
+
+    def test_weights_are_cast_per_call(self, rng):
+        model = bench_cnn()
+        plan = compile_eval(model, (3, 16, 16), np.float32)
+        x = rng.normal(size=(2, 3, 16, 16))
+        swapped = {"4": rng.normal(size=model[4].weight.data.shape)}
+        first = plan(x, swapped)
+        second = plan(x)
+        model[4].weight.data[...] = swapped["4"]
+        np.testing.assert_array_equal(plan(x), first)
+        assert not np.array_equal(first, second)
+
+    def test_weight_of_another_shape_is_rejected(self, rng):
+        plan = compile_eval(bench_cnn(), (3, 16, 16), np.float32)
+        with pytest.raises(ValueError, match="expects a weight of shape"):
+            plan(rng.normal(size=(2, 3, 16, 16)), {"9": np.zeros((1, 32))})
+
+    def test_non_floating_dtype_is_rejected(self):
+        with pytest.raises(ValueError, match="floating"):
+            compile_eval(bench_cnn(), (3, 16, 16), np.int32)
 
 
 class TestWorkspace:

@@ -52,7 +52,11 @@ class TestEndToEnd:
     def test_batched_and_unbatched_agree(self, engine, inputs):
         batched = np.stack(engine.predict_many(inputs, batched=True))
         unbatched = np.stack(engine.predict_many(inputs, batched=False))
-        np.testing.assert_allclose(batched, unbatched, atol=1e-10)
+        # Rows are float32, and the final Linear is one GEMM whose
+        # rounding depends on the batch's row count (measured: one ulp).
+        scale = float(np.abs(unbatched).max())
+        atol = 4 * float(np.finfo(np.float32).eps) * scale
+        np.testing.assert_allclose(batched, unbatched, rtol=0, atol=atol)
 
     def test_cache_hits_when_layer_reused(self, engine, inputs):
         engine.predict(np.stack(inputs[:2]))

@@ -103,6 +103,19 @@ class TestProcessServing:
             np.stack(processed), np.stack(threaded)
         )
 
+    def test_every_path_serves_float32_rows(self, handle, rng):
+        """The plan computes in float32 on the offline path, the thread
+        workers and the process workers alike; the cached weights stay
+        float64."""
+        inputs = list(rng.normal(size=(4, 3, 8, 8)))
+        engine = make_engine(handle)
+        assert engine.predict(np.stack(inputs)).dtype == np.float32
+        for name in engine.rebuild.layer_names:
+            assert engine.rebuild.layer_weight(name).dtype == np.float64
+        for backend in ("thread", "process"):
+            rows = serve_all(make_engine(handle), inputs, 1, backend)
+            assert {row.dtype for row in rows} == {np.dtype(np.float32)}
+
     def test_spawn_start_method(self, handle, rng, monkeypatch):
         monkeypatch.setenv(START_METHOD_ENV, "spawn")
         inputs = list(rng.normal(size=(4, 3, 8, 8)))

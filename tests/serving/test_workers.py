@@ -321,9 +321,10 @@ class TestStopRestartRace:
 
 class TestDeadWorkerDrain:
     def test_drained_tickets_are_counted_failed(self, handle, inputs):
-        """A dying worker thread drains the queue through the engine's
-        ``failed``: queued tickets fail and are booked in the stats and
-        the tenant ledger, as the process backend's drain books them."""
+        """A dying worker thread fails the batch it held and drains the
+        queue through the engine's ``failed``: every ticket fails and is
+        booked in the stats and the tenant ledger, as the process
+        backend's drain books them."""
         ledger = TenantLedger()
         engine = InferenceEngine(
             build_model(seed=123),
@@ -340,15 +341,15 @@ class TestDeadWorkerDrain:
 
         engine._run_requests = dying_run
         engine.start()
-        engine.submit(inputs[0], tenant="acme")  # held by the dying run
+        held = engine.submit(inputs[0], tenant="acme")  # held by the dying run
         assert entered.wait(10.0)
         queued = [engine.submit(s, tenant="acme") for s in inputs[1:4]]
         release.set()
-        for ticket in queued:
+        for ticket in [held, *queued]:
             with pytest.raises(RuntimeError, match="worker bug"):
                 ticket.result(timeout=10.0)
-        assert engine.stats.failed_requests == 3
-        assert ledger.usage_report("acme").failed == 3
+        assert engine.stats.failed_requests == 4
+        assert ledger.usage_report("acme").failed == 4
         with pytest.raises(ServingError, match="worker died"):
             engine.stop()
 
