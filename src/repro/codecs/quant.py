@@ -10,6 +10,7 @@ the same approximation the corresponding quantizer would.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -161,7 +162,7 @@ class Pow2QuantCodec:
             int(meta["p_min"]), int(meta["bits"]), bool(meta["packed"])
         )
         values = table.take(payload.arrays["codes"], axis=0).reshape(-1)
-        size = int(np.prod(payload.weight_shape, dtype=np.int64))
+        size = math.prod(payload.weight_shape)
         return values[:size].reshape(payload.weight_shape)
 
     def payload_bytes(self, payload: LayerPayload) -> int:

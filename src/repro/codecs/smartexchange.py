@@ -20,12 +20,14 @@ A layer of N decomposed matrices is stored stacked, as three arrays:
 ``plan``, so decoding needs no
 :class:`~repro.core.config.SmartExchangeConfig` — the config shapes the
 *encoder's* search only.  Decode rebuilds the whole layer in a fixed
-number of numpy calls (a code-to-value table lookup, then one batched
-``Ce B`` product over the alive rows), with no per-matrix loop.
+number of numpy calls (one gather from a code-to-value table, cached
+per set of ΩP anchors, then one batched ``Ce B`` product over the
+alive rows), with no per-matrix loop.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -74,6 +76,19 @@ def plan_from_json(data: Dict) -> ReshapePlan:
         unit_rows=int(data["unit_rows"]),
         slice_rows=int(data["slice_rows"]),
     )
+
+
+@lru_cache(maxsize=128)
+def _code_table(p_min: tuple) -> np.ndarray:
+    """The flat code-to-value table of one layer's matrices: entry
+    ``16 * j + code`` is what matrix ``j`` decodes ``code`` to.
+
+    Keyed by the layer's ΩP anchors, so every decode of a layer after
+    the first reads the same read-only table.
+    """
+    table = coefficient_code_values(p_min, 16).reshape(-1)
+    table.setflags(write=False)
+    return table
 
 
 def _weight_shape(kind: str, plan: ReshapePlan) -> tuple:
@@ -177,8 +192,9 @@ class SmartExchangeCodec:
         alive = np.flatnonzero(np.unpackbits(arrays["index"], count=total))
         matrix_of_row = np.repeat(np.arange(rows.size), rows)[alive]
         codes = unpack_nibbles(arrays["codes"], alive.size * cols)
-        table = coefficient_code_values(meta["p_min"], 16)
-        coefficient = table[matrix_of_row[:, None], codes.reshape(-1, cols)]
+        table = _code_table(tuple(meta["p_min"]))
+        flat = codes.reshape(-1, cols) + (matrix_of_row * 16)[:, None]
+        coefficient = table.take(flat)
         basis = arrays["basis"] * np.asarray(meta["basis_scale"])[:, None, None]
         bases = basis.take(matrix_of_row, axis=0)
         products = np.einsum("rk,rks->rs", coefficient, bases)

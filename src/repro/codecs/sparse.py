@@ -14,6 +14,8 @@ already has, so it composes with any pruner (element, channel, filter).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.codecs.base import (
@@ -53,10 +55,10 @@ class PruneCSRCodec:
         check_codec(payload, self.name)
         if payload.meta.get("empty"):
             return decode_empty(payload)
-        size = int(np.prod(payload.weight_shape, dtype=np.int64))
-        mask = np.unpackbits(payload.arrays["bitmap"])[:size].astype(bool)
+        size = math.prod(payload.weight_shape)
+        mask = np.unpackbits(payload.arrays["bitmap"], count=size).view(bool)
         out = np.zeros(size)
-        out[mask] = payload.arrays["values"].astype(np.float64)
+        out[mask] = payload.arrays["values"]
         return out.reshape(payload.weight_shape)
 
     def payload_bytes(self, payload: LayerPayload) -> int:

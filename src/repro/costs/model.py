@@ -405,11 +405,6 @@ class CodecCostModel:
         with self._lock:
             return dict(self._rates)
 
-    def snapshot_layer_rates(self) -> Dict[Tuple[str, str], float]:
-        """One-lock copy of every known ``(codec, layer)`` rate."""
-        with self._lock:
-            return dict(self._layer_rates)
-
     def snapshot_all_rates(
         self,
     ) -> Tuple[Dict[str, float], Dict[Tuple[str, str], float]]:

@@ -22,10 +22,8 @@ compute once; cold layers are evicted and rebuilt on their next access.
   admitted if every byte it displaces was cheaper to rebuild.
 
 The cache counters expose the realized storage-vs-compute trade:
-``bytes_saved`` is the dense footprint *not* held resident,
-``rebuilt_bytes`` is the compute paid for it, and ``stats.curve``
-samples (accesses, resident bytes, cumulative rebuild seconds) over
-the access stream.
+``bytes_saved`` is the dense footprint *not* held resident, and
+``rebuilt_bytes`` and ``rebuild_seconds`` are the compute paid for it.
 """
 
 from __future__ import annotations
@@ -52,10 +50,6 @@ from repro.codecs import LayerPayload, get_codec
 from repro.costs import CodecCostModel
 from repro.observability import NULL_OBSERVABILITY, MetricsRegistry
 from repro.serving.artifacts import LayerArtifactSpec
-
-# Bound on the sampled trade curve; when full, every other point is
-# dropped, halving the sampling rate but keeping the whole history.
-_CURVE_LIMIT = 4096
 
 
 class RebuildCacheStats:
@@ -128,10 +122,6 @@ class RebuildCacheStats:
             "rebuild_seconds": self._rebuild_seconds,
             "est_seconds_saved": self._est_seconds_saved,
         }
-        # (accesses, cached_bytes, cumulative rebuild_seconds) samples,
-        # one per rebuild — the realized storage-vs-compute trade over
-        # time.
-        self.curve: List[Tuple[int, int, float]] = []
         # Per-layer access/hit counts (all-time, for audit) plus the
         # EWMA-decayed hit rate that probabilistic install estimates
         # and routing decisions price — decayed so the estimate tracks
@@ -272,7 +262,6 @@ class RebuildCacheStats:
             instrument.reset()
         for counter in self._tier_counters.values():
             counter.reset()
-        self.curve.clear()
         self.layer_hits.clear()
         self.layer_accesses.clear()
         self.layer_hit_ewma.clear()
@@ -350,7 +339,6 @@ class RebuildCacheStats:
             "rebuild_seconds": self.rebuild_seconds,
             "est_seconds_saved": self.est_seconds_saved,
             "hit_rate": self.hit_rate,
-            "curve_points": len(self.curve),
             "layer_hit_rates": self.layer_hit_rates(),
         }
         if self._tier_order:
@@ -695,21 +683,6 @@ class RebuildEngine:
             for name, nbytes, hit_rate in pending
         )
 
-    def all_miss_install_seconds(self) -> float:
-        """Rebuild seconds if *every* layer missed: the certain-miss
-        ceiling :meth:`estimated_install_seconds` discounts from
-        (residency and observed hit rates ignored)."""
-        rates, layer_rates = self.cost_model.snapshot_all_rates()
-        with self._lock:
-            sizes = {
-                name: self._actual_bytes.get(name, self._assumed_bytes[name])
-                for name in self._specs
-            }
-        return sum(
-            self._rate_for(rates, layer_rates, name) * nbytes
-            for name, nbytes in sizes.items()
-        )
-
     # ------------------------------------------------------------------
     def layer_weight(self, name: str) -> np.ndarray:
         """The dense weight for ``name`` (cached or rebuilt).
@@ -784,7 +757,7 @@ class RebuildEngine:
                             claimed = (tier, entry)
                             break
                     break
-            flight.event.wait()
+            flight.wait()
             if flight.weight is not None:
                 with self._lock:
                     self.stats._hits.inc()
@@ -823,12 +796,12 @@ class RebuildEngine:
             except BaseException:
                 with self._lock:
                     self._inflight.pop(name, None)
-                flight.event.set()
+                flight.release()
                 raise
             self.cost_model.observe(
                 self._layer_codec[name], weight.nbytes, seconds, layer=name
             )
-        flight.weight = weight  # published before event.set()
+        flight.weight = weight  # published before release()
         with self._lock:
             if source == "rebuild":
                 self.stats._rebuilds.inc()
@@ -852,9 +825,8 @@ class RebuildEngine:
             verdict = self._admit(name, weight)
             if source != "rebuild" and verdict == "admitted":
                 self.stats.record_tier(source, "promotions")
-            self._record_curve()
             self._inflight.pop(name, None)
-        flight.event.set()
+        flight.release()
         if info is not None:
             info["hit"] = False
             info["tier"] = source
@@ -1044,15 +1016,6 @@ class RebuildEngine:
             shape=entry.shape,
         )
 
-    def _record_curve(self) -> None:
-        # Caller holds self._lock.
-        curve = self.stats.curve
-        curve.append(
-            (self.stats.accesses, self._cached_bytes, self.stats.rebuild_seconds)
-        )
-        if len(curve) >= _CURVE_LIMIT:
-            del curve[::2]
-
     # ------------------------------------------------------------------
     def warm(self) -> None:
         """Touch every layer once (fills the cache up to capacity)."""
@@ -1103,10 +1066,25 @@ class RebuildEngine:
 
 
 class _InFlightRebuild:
-    """One cold-miss rebuild in progress; waiters block on ``event``."""
+    """One cold-miss rebuild in progress.
 
-    __slots__ = ("event", "weight")
+    Completion is a latch, as on :class:`~repro.serving.batching.
+    Ticket`: a lock acquired at construction and released once by the
+    rebuilding thread.  Each waiter acquires it and releases it at
+    once, passing it on to the next waiter.  ``weight`` stays None if
+    the rebuild failed.
+    """
+
+    __slots__ = ("_latch", "weight")
 
     def __init__(self) -> None:
-        self.event = threading.Event()
+        self._latch = threading.Lock()
+        self._latch.acquire()
         self.weight: Optional[np.ndarray] = None
+
+    def wait(self) -> None:
+        self._latch.acquire()
+        self._latch.release()
+
+    def release(self) -> None:
+        self._latch.release()

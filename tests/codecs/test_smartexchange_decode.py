@@ -25,7 +25,7 @@ from repro.codecs import (
     get_codec,
     payload_matrix_count,
 )
-from repro.codecs.smartexchange import plan_to_json
+from repro.codecs.smartexchange import _code_table, plan_to_json
 from repro.core import SmartExchangeConfig
 from repro.core.decompose import Decomposition, DecompositionHistory
 from repro.core.layer_transform import compress_conv_weight, compress_fc_weight
@@ -198,6 +198,36 @@ class TestStackedDecodeParity:
             for key in ("index", "codes", "basis")
         )
         assert codec.payload_bytes(payload) <= per_matrix
+
+
+class TestCodeTableCache:
+    def test_cached_table_is_read_only(self):
+        rng = np.random.default_rng(12)
+        images, plan = random_layer(rng, "fc", (4, 9), 3, 2, 0.0)
+        payload = SmartExchangeCodec().payload_from_matrices(images, "fc", plan)
+        SmartExchangeCodec().decode(payload)
+        table = _code_table(tuple(payload.meta["p_min"]))
+        assert table is _code_table(tuple(payload.meta["p_min"]))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1] = 0.0
+
+    def test_interleaved_anchors_decode_their_own_bits(self):
+        # Same plan and shape, different ΩP anchors: a table served
+        # from the wrong cache entry would give the other layer's bits.
+        rng = np.random.default_rng(13)
+        codec = SmartExchangeCodec()
+        layers = []
+        while len({tuple(p.meta["p_min"]) for p, _ in layers}) < 4:
+            images, plan = random_layer(rng, "conv", (3, 2, 3, 3), 0, None, 0.3)
+            payload = codec.payload_from_matrices(images, "conv", plan)
+            expected = reference(images, plan, payload.weight_shape)
+            layers.append((payload, expected))
+        for _ in range(3):
+            for payload, expected in layers + layers[::-1]:
+                np.testing.assert_array_equal(
+                    bits(codec.decode(payload)), bits(expected)
+                )
 
 
 def write_format2(path, name, images, kind, plan, weight_shape) -> None:

@@ -5,12 +5,26 @@ encoded under several codecs, in per-thread shuffled orders, under
 every admission policy — asserting the counters stay consistent
 (``hits + misses == accesses``), the capacity bound is never violated,
 and every returned weight is bit-identical to a fresh decode.
+
+A hypothesis state machine drives the same zoo one call at a time
+through ``layer_weight``, ``clear`` and ``reset_stats`` under every
+policy, with and without a compressed tier, at capacities 0, half the
+dense bytes and unbounded, and checks the cache invariants after every
+step.
 """
 
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.codecs import get_codec
 from repro.serving import ADMISSION_POLICIES, RebuildEngine
@@ -45,9 +59,12 @@ def build_payloads():
     return payloads, specs, reference
 
 
+ZOO = build_payloads()
+
+
 @pytest.fixture(scope="module")
 def zoo():
-    return build_payloads()
+    return ZOO
 
 
 @pytest.mark.parametrize("policy", sorted(ADMISSION_POLICIES))
@@ -101,14 +118,6 @@ def test_concurrent_mixed_codec_stress(zoo, policy):
     assert engine.cached_bytes == sum(
         reference[name].nbytes for name in engine.cached_layers
     )
-    # The curve is monotone in accesses and cumulative rebuild seconds.
-    curve = stats.curve
-    assert curve, "stress run recorded no trade-curve points"
-    for (a0, _, s0), (a1, _, s1) in zip(curve, curve[1:]):
-        assert a1 >= a0
-        assert s1 >= s0
-    for _, cached_bytes, _ in curve:
-        assert cached_bytes <= capacity
 
 
 @pytest.mark.parametrize("policy", sorted(ADMISSION_POLICIES))
@@ -127,3 +136,85 @@ def test_single_thread_counters_exact(zoo, policy):
     assert engine.stats.hits == 2 * len(LAYERS)
     assert engine.stats.rebuilds == len(LAYERS)
     assert engine.bytes_saved == 0
+
+
+class CacheInvariants(RuleBasedStateMachine):
+    """One engine over the zoo; every step keeps the cache consistent.
+
+    Subclasses set ``config`` to ``(policy, tiers, capacity)``.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.payloads, self.specs, self.reference = ZOO
+        policy, tiers, self.capacity = self.config
+        self.engine = RebuildEngine(
+            payloads=self.payloads,
+            specs=self.specs,
+            capacity_bytes=self.capacity,
+            policy=policy,
+            tiers=tiers,
+        )
+        self.accesses = 0
+
+    @rule(name=st.sampled_from([name for name, _, _ in LAYERS]))
+    def layer_weight(self, name):
+        weight = self.engine.layer_weight(name)
+        self.accesses += 1
+        payload = self.payloads[name]
+        fresh = get_codec(payload.codec).decode(payload)
+        assert weight.dtype == fresh.dtype
+        np.testing.assert_array_equal(
+            weight.view(np.uint64), fresh.view(np.uint64)
+        )
+
+    @rule()
+    def clear(self):
+        self.engine.clear()
+
+    @rule()
+    def reset_stats(self):
+        self.engine.reset_stats()
+        self.accesses = 0
+
+    @invariant()
+    def cached_bytes_within_capacity(self):
+        if self.capacity is not None:
+            assert self.engine.cached_bytes <= self.capacity
+
+    @invariant()
+    def counters_add_up(self):
+        stats = self.engine.stats
+        assert stats.hits + stats.misses == self.accesses
+        assert stats.rebuilds <= stats.misses
+        # One caller at a time: every miss is served by exactly one
+        # lower tier or one rebuild.
+        tier_hits = sum(
+            count
+            for tier, count in stats.tier_hit_counts().items()
+            if tier not in ("dense-ram", "rebuild")
+        )
+        assert tier_hits + stats.rebuilds == stats.misses
+
+    @invariant()
+    def cached_bytes_match_residents(self):
+        assert self.engine.cached_bytes == sum(
+            self.reference[name].nbytes for name in self.engine.cached_layers
+        )
+
+
+DENSE_BYTES = sum(int(np.prod(shape)) * 8 for _, shape, _ in LAYERS)
+
+
+@pytest.mark.parametrize("capacity", [0, DENSE_BYTES // 2, None])
+@pytest.mark.parametrize("tiers", [None, "compressed"])
+@pytest.mark.parametrize("policy", sorted(ADMISSION_POLICIES))
+def test_cache_invariants_hold_after_every_step(policy, tiers, capacity):
+    machine = type(
+        "CacheInvariantsUnder", (CacheInvariants,),
+        {"config": (policy, tiers, capacity)},
+    )
+    run_state_machine_as_test(
+        machine,
+        settings=settings(max_examples=25, stateful_step_count=40, deadline=None),
+    )

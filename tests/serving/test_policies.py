@@ -246,16 +246,6 @@ class TestRebuildEngineWithPolicies:
         engine.warm()
         assert engine.estimated_install_seconds() == 0.0
 
-    def test_warmed_engine_estimates_below_all_miss_ceiling(self):
-        """Probabilistic install costs are observable: a warmed engine
-        whose working set fits must price strictly below the certain-
-        all-miss ceiling."""
-        engine = mixed_engine("cost-aware", capacity_bytes=None)
-        engine.warm()
-        ceiling = engine.all_miss_install_seconds()
-        assert ceiling > 0
-        assert engine.estimated_install_seconds() < ceiling
-
     def test_uncached_layer_discounted_by_observed_hit_rate(self):
         """A layer with history of hitting is not priced as a certain
         miss once it falls out of the cache."""
@@ -294,22 +284,12 @@ class TestRebuildEngineWithPolicies:
         # only a per-layer rate can produce that inversion.
         assert estimates["ql0"] < estimates["ql1"]
 
-    def test_trade_curve_sampled_per_rebuild(self):
-        engine = mixed_engine("lru", capacity_bytes=None)
-        engine.warm()
-        assert len(engine.stats.curve) == len(engine.layer_names)
-        accesses, cached, seconds = engine.stats.curve[-1]
-        assert accesses == len(engine.layer_names)
-        assert cached == engine.cached_bytes
-        assert seconds == pytest.approx(engine.stats.rebuild_seconds)
-
     def test_reset_stats_keeps_cache_contents(self):
         engine = mixed_engine("lru", capacity_bytes=None)
         engine.warm()
         cached = engine.cached_layers
         engine.reset_stats()
         assert engine.stats.accesses == 0
-        assert engine.stats.curve == []
         assert engine.stats.policy == "lru"
         assert engine.cached_layers == cached
         engine.layer_weight(engine.layer_names[0])

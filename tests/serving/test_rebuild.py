@@ -110,12 +110,11 @@ class TestCacheBehavior:
         stats = engine.stats.as_dict()
         for key in ("hits", "misses", "accesses", "evictions", "rebuilds",
                     "rebuilt_bytes", "rebuild_seconds", "hit_rate",
-                    "curve_points", "layer_hit_rates"):
+                    "layer_hit_rates"):
             assert key in stats
         # Derived counters are materialized, not left for consumers to
         # re-derive inconsistently.
         assert stats["accesses"] == stats["hits"] + stats["misses"]
-        assert stats["curve_points"] == len(engine.stats.curve)
 
     def test_per_layer_hit_rates_tracked(self, handle):
         # Per-layer hit rates are EWMAs (alpha 0.2, seeded at the first

@@ -186,5 +186,4 @@ class TestServingStatsReset:
         assert engine.rebuild.stats is stats
         assert stats.accesses == 0
         assert stats.rebuild_seconds == 0.0
-        assert stats.curve == []
         assert stats.layer_hits == {}

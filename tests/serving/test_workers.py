@@ -284,6 +284,92 @@ class TestRebuildDedup:
         engine._rebuild = real_rebuild
         assert engine.layer_weight(name) is not None
 
+    def test_uncacheable_cold_misses_share_one_rebuild(self, handle):
+        # capacity 0: the layer is never admitted, so every waiter is
+        # served from the in-flight rebuild alone.
+        engine = RebuildEngine(
+            payloads=handle.payloads, specs=handle.layer_specs,
+            capacity_bytes=0,
+        )
+        name = engine.layer_names[0]
+        real_rebuild = engine._rebuild
+        calls = []
+
+        def slow_rebuild(layer):
+            calls.append(layer)
+            time.sleep(0.05)
+            return real_rebuild(layer)
+
+        engine._rebuild = slow_rebuild
+        threads = 8
+        barrier = threading.Barrier(threads)
+        results = [None] * threads
+
+        def hit_cold_cache(index):
+            barrier.wait()
+            results[index] = engine.layer_weight(name)
+
+        pool = [
+            threading.Thread(target=hit_cold_cache, args=(i,))
+            for i in range(threads)
+        ]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(10.0)
+
+        assert not any(thread.is_alive() for thread in pool)
+        assert calls == [name]
+        assert engine.stats.rebuilds == 1
+        assert engine.stats.misses == 1
+        assert engine.stats.hits == threads - 1
+        assert all(result is results[0] for result in results)
+        assert engine.cached_bytes == 0
+        # Nothing cached and no flight left behind: the next access
+        # rebuilds again.
+        engine.layer_weight(name)
+        assert calls == [name, name]
+
+    def test_failed_uncacheable_rebuild_releases_waiters(self, handle):
+        engine = RebuildEngine(
+            payloads=handle.payloads, specs=handle.layer_specs,
+            capacity_bytes=0,
+        )
+        name = engine.layer_names[0]
+        real_rebuild = engine._rebuild
+
+        def broken_rebuild(layer):
+            time.sleep(0.02)
+            raise RuntimeError("decode failed")
+
+        engine._rebuild = broken_rebuild
+        threads = 4
+        barrier = threading.Barrier(threads)
+        errors = []
+
+        def hit_broken(index):
+            barrier.wait()
+            try:
+                engine.layer_weight(name)
+            except RuntimeError as error:
+                errors.append(error)
+
+        pool = [
+            threading.Thread(target=hit_broken, args=(i,))
+            for i in range(threads)
+        ]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(10.0)
+
+        assert not any(thread.is_alive() for thread in pool)
+        assert len(errors) == threads
+        assert len({id(error) for error in errors}) == threads
+        engine._rebuild = real_rebuild
+        assert engine.layer_weight(name) is not None
+        assert engine.cached_bytes == 0
+
 
 class TestStopRestartRace:
     """Satellite 1: a join timeout must not allow a duplicate worker."""
