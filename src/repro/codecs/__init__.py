@@ -26,12 +26,15 @@ Typical use::
     codec = codecs.get_codec("quant-linear")
     payload = codec.encode(weight)          # LayerPayload
     restored = codec.decode(payload)        # dense ndarray
+    prepared = codec.prepare(payload)       # smartexchange, prune-csr
+    restored = codec.decode(payload, prepared)  # same bits, less work
     stored = codec.payload_bytes(payload)   # analytic bytes
 """
 
 from repro.codecs.base import (
     CodecError,
     LayerPayload,
+    PreparedPayload,
     WeightCodec,
     codec_names,
     encode_model,
@@ -58,6 +61,7 @@ register_codec("quant-fp8", FP8Codec)
 __all__ = [
     "CodecError",
     "LayerPayload",
+    "PreparedPayload",
     "WeightCodec",
     "register_codec",
     "get_codec",

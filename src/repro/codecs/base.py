@@ -14,6 +14,11 @@ encoder.  This module pins down the shared contract:
 - :class:`WeightCodec` — the protocol every codec implements:
   ``encode(weight) -> LayerPayload``, ``decode(payload) -> ndarray``,
   ``payload_bytes(payload) -> int``, and a registry ``name``.
+- :class:`PreparedPayload` — read-only arrays a codec derives once
+  from one payload (index positions, lookup tables, scales), so
+  a caller that decodes the same payload many times pays for them
+  once.  A codec with such arrays implements ``prepare(payload)`` and
+  accepts the result as ``decode(payload, prepared)``.
 - a string-keyed registry (:func:`register_codec`, :func:`get_codec`,
   :func:`codec_names`) so artifact manifests can record a codec by name
   and the serving layer can decode any bundle without knowing which
@@ -63,6 +68,28 @@ class LayerPayload:
         return int(np.prod(self.weight_shape, dtype=np.int64)) * 4
 
 
+@dataclass(frozen=True)
+class PreparedPayload:
+    """Arrays a codec derives from one immutable payload, held so that
+    each decode reads them instead of re-deriving them.
+
+    The arrays are made read-only here: one prepared payload is shared
+    by every decode of its layer.  ``scalars`` holds the few integers
+    the decode needs besides them.
+    """
+
+    arrays: Dict[str, np.ndarray] = field(default_factory=dict)
+    scalars: Dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for array in self.arrays.values():
+            array.setflags(write=False)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(int(a.nbytes) for a in self.arrays.values())
+
+
 @runtime_checkable
 class WeightCodec(Protocol):
     """One point in the recompute-vs-store design space.
@@ -72,6 +99,10 @@ class WeightCodec(Protocol):
     must reproduce exactly the weight ``encode``'s approximation
     committed to — i.e. ``encode(decode(encode(w)))`` round-trips
     losslessly.
+
+    A codec may also implement ``prepare(payload) -> PreparedPayload``
+    and take its result as ``decode(payload, prepared)``, bit-identical
+    to ``decode(payload)``, which prepares afresh on every call.
     """
 
     name: str
@@ -131,6 +162,18 @@ def empty_payload(codec: str, shape: Tuple[int, ...]) -> LayerPayload:
     return LayerPayload(
         codec=codec, weight_shape=tuple(shape), arrays={}, meta={"empty": True}
     )
+
+
+_INDEX_DTYPES = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32))
+
+
+def index_dtype(count: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every index below
+    ``count``."""
+    for dtype in _INDEX_DTYPES:
+        if count <= 1 << (8 * dtype.itemsize):
+            return dtype
+    return np.dtype(np.intp)
 
 
 def decode_empty(payload: LayerPayload) -> np.ndarray:

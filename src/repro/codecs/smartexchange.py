@@ -20,14 +20,16 @@ A layer of N decomposed matrices is stored stacked, as three arrays:
 ``plan``, so decoding needs no
 :class:`~repro.core.config.SmartExchangeConfig` — the config shapes the
 *encoder's* search only.  Decode rebuilds the whole layer in a fixed
-number of numpy calls (one gather from a code-to-value table, cached
-per set of ΩP anchors, then one batched ``Ce B`` product over the
-alive rows), with no per-matrix loop.
+number of numpy calls (one gather from a code-to-value table, then one
+batched ``Ce B`` product over the alive rows), with no per-matrix loop.
+:meth:`SmartExchangeCodec.prepare` derives everything that depends on
+the payload alone (each alive row's matrix and position, the table and
+its gather index, the basis scales) once, so a caller that keeps the
+result decodes with those reads only.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -35,9 +37,11 @@ import numpy as np
 from repro.codecs.base import (
     CodecError,
     LayerPayload,
+    PreparedPayload,
     check_codec,
     decode_empty,
     empty_payload,
+    index_dtype,
 )
 from repro.core.config import SmartExchangeConfig
 from repro.core.layer_transform import (
@@ -76,19 +80,6 @@ def plan_from_json(data: Dict) -> ReshapePlan:
         unit_rows=int(data["unit_rows"]),
         slice_rows=int(data["slice_rows"]),
     )
-
-
-@lru_cache(maxsize=128)
-def _code_table(p_min: tuple) -> np.ndarray:
-    """The flat code-to-value table of one layer's matrices: entry
-    ``16 * j + code`` is what matrix ``j`` decodes ``code`` to.
-
-    Keyed by the layer's ΩP anchors, so every decode of a layer after
-    the first reads the same read-only table.
-    """
-    table = coefficient_code_values(p_min, 16).reshape(-1)
-    table.setflags(write=False)
-    return table
 
 
 def _weight_shape(kind: str, plan: ReshapePlan) -> tuple:
@@ -182,40 +173,96 @@ class SmartExchangeCodec:
         )
 
     # ------------------------------------------------------------------
-    def decode(self, payload: LayerPayload) -> np.ndarray:
+    def prepare(self, payload: LayerPayload) -> PreparedPayload:
+        """The decode's payload-only arrays, in the narrowest index
+        dtypes: each alive row's matrix, the code-to-value table of the
+        layer's distinct ΩP anchors (entry ``16 * a + code`` is what
+        anchor ``a`` decodes ``code`` to) with each coefficient's index
+        into it, the per-matrix basis scales, the alive rows of one-row
+        matrices (omitted when there are none), and the flat positions
+        of the alive rows' elements in the stacked matrices (omitted
+        when every row is alive).
+
+        The int8 bases are scaled on each decode instead: held scaled
+        in float64, they alone would outweigh half the dense weight of
+        a small layer.
+        """
         check_codec(payload, self.name)
         if payload.meta.get("empty"):
-            return decode_empty(payload)
+            return PreparedPayload()
         meta, arrays = payload.meta, payload.arrays
         rows = np.asarray(meta["rows"], dtype=np.intp)
         cols, total = int(meta["cols"]), int(rows.sum())
+        size = arrays["basis"].shape[2]
         alive = np.flatnonzero(np.unpackbits(arrays["index"], count=total))
         matrix_of_row = np.repeat(np.arange(rows.size), rows)[alive]
+        anchors = sorted(set(meta["p_min"]))
+        anchor_index = {anchor: index for index, anchor in enumerate(anchors)}
+        anchor_of_matrix = np.array([anchor_index[p] for p in meta["p_min"]])
         codes = unpack_nibbles(arrays["codes"], alive.size * cols)
-        table = _code_table(tuple(meta["p_min"]))
-        flat = codes.reshape(-1, cols) + (matrix_of_row * 16)[:, None]
-        coefficient = table.take(flat)
-        basis = arrays["basis"] * np.asarray(meta["basis_scale"])[:, None, None]
-        bases = basis.take(matrix_of_row, axis=0)
+        gather = codes.reshape(-1, cols) + (
+            anchor_of_matrix[matrix_of_row] * 16
+        )[:, None]
+        prepared = {
+            "table": coefficient_code_values(anchors, 16).reshape(-1),
+            "gather": gather.astype(index_dtype(16 * len(anchors))),
+            "scale": np.asarray(meta["basis_scale"], dtype=np.float64),
+            "matrix_of_row": matrix_of_row.astype(index_dtype(rows.size)),
+        }
+        if alive.size != total:
+            scatter = alive[:, None] * size + np.arange(size)
+            prepared["scatter"] = scatter.reshape(-1).astype(
+                index_dtype(total * size)
+            )
+        lone = np.flatnonzero(rows[matrix_of_row] == 1)
+        if lone.size:
+            prepared["lone"] = lone.astype(index_dtype(alive.size))
+        # Rows run unit-major (filter or FC row, then slice), so each
+        # unit's rows are one contiguous block of the stacked matrix;
+        # an FC plan pads each row, which the decode cuts back off.
+        plan = meta["plan"]
+        units, width = plan["original_shape"][:2]
+        padded = plan["kind"] == "fc" and total * size != units * width
+        return PreparedPayload(
+            prepared,
+            {
+                "elements": total * size,
+                "units": units,
+                "trim": width if padded else 0,
+            },
+        )
+
+    def decode(
+        self, payload: LayerPayload, prepared: Optional[PreparedPayload] = None
+    ) -> np.ndarray:
+        check_codec(payload, self.name)
+        if payload.meta.get("empty"):
+            return decode_empty(payload)
+        if prepared is None:
+            prepared = self.prepare(payload)
+        arrays, scalars = prepared.arrays, prepared.scalars
+        coefficient = arrays["table"].take(arrays["gather"])
+        basis = payload.arrays["basis"] * arrays["scale"][:, None, None]
+        bases = basis.take(arrays["matrix_of_row"], axis=0)
         products = np.einsum("rk,rks->rs", coefficient, bases)
-        if rows.min() == 1:
+        lone = arrays.get("lone")
+        if lone is not None:
             # numpy multiplies a one-row matrix through gemv, whose
             # summation order is not gemm's in-order one; rebuild those
             # rows the same way so the result stays bit-identical to a
             # per-matrix ``Ce @ B``.
-            lone = rows[matrix_of_row] == 1
             products[lone] = np.matmul(
                 coefficient[lone, None, :], bases[lone]
             )[:, 0]
-        matrices = np.zeros((total, basis.shape[2]))
-        matrices[alive] = products
-        # Rows run unit-major (filter or FC row, then slice), so each
-        # unit's rows are one contiguous block of the stacked matrix.
-        plan = meta["plan"]
-        units, width = plan["original_shape"][:2]
-        weight = matrices.reshape(units, -1)
-        if plan["kind"] == "fc" and weight.shape[1] != width:
-            weight = np.ascontiguousarray(weight[:, :width])
+        scatter = arrays.get("scatter")
+        if scatter is None:
+            matrices = products
+        else:
+            matrices = np.zeros(scalars["elements"])
+            matrices[scatter] = products.reshape(-1)
+        weight = matrices.reshape(scalars["units"], -1)
+        if scalars["trim"]:
+            weight = np.ascontiguousarray(weight[:, : scalars["trim"]])
         return weight.reshape(payload.weight_shape)
 
     def payload_bytes(self, payload: LayerPayload) -> int:

@@ -15,14 +15,17 @@ already has, so it composes with any pruner (element, channel, filter).
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
 from repro.codecs.base import (
     LayerPayload,
+    PreparedPayload,
     check_codec,
     decode_empty,
     empty_payload,
+    index_dtype,
 )
 
 
@@ -51,14 +54,28 @@ class PruneCSRCodec:
             meta={"nnz": int(mask.sum())},
         )
 
-    def decode(self, payload: LayerPayload) -> np.ndarray:
+    def prepare(self, payload: LayerPayload) -> PreparedPayload:
+        """The flat positions of the stored values, unpacked from the
+        bitmap into the narrowest index dtype."""
+        check_codec(payload, self.name)
+        if payload.meta.get("empty"):
+            return PreparedPayload()
+        size = math.prod(payload.weight_shape)
+        mask = np.unpackbits(payload.arrays["bitmap"], count=size)
+        return PreparedPayload(
+            {"positions": np.flatnonzero(mask).astype(index_dtype(size))}
+        )
+
+    def decode(
+        self, payload: LayerPayload, prepared: Optional[PreparedPayload] = None
+    ) -> np.ndarray:
         check_codec(payload, self.name)
         if payload.meta.get("empty"):
             return decode_empty(payload)
-        size = math.prod(payload.weight_shape)
-        mask = np.unpackbits(payload.arrays["bitmap"], count=size).view(bool)
-        out = np.zeros(size)
-        out[mask] = payload.arrays["values"]
+        if prepared is None:
+            prepared = self.prepare(payload)
+        out = np.zeros(math.prod(payload.weight_shape))
+        out[prepared.arrays["positions"]] = payload.arrays["values"]
         return out.reshape(payload.weight_shape)
 
     def payload_bytes(self, payload: LayerPayload) -> int:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 # 5 ns/byte is a deliberately mid-range prior: slower than a memcpy-like
 # dense decode, faster than a smartexchange rebuild, so an uncalibrated
@@ -51,17 +51,6 @@ DEFAULT_SECONDS_PER_BYTE = 5e-9
 DEFAULT_TIER_PRIORS = {
     "compressed-ram": 1e-9,
     "disk": 2e-8,
-}
-
-# One-time payload-attach priors per execution backend, in seconds per
-# *compressed* byte.  A thread worker shares the parent's payload map
-# (attach is free); a process worker opens + checksums the shared
-# segment — page-table work plus one CRC pass, amortized over the
-# worker's whole lifetime.  Measured attaches fold into a per-backend
-# EWMA via :meth:`CodecCostModel.observe_attach`.
-DEFAULT_ATTACH_PRIORS = {
-    "thread": 0.0,
-    "process": 5e-10,
 }
 
 
@@ -112,8 +101,6 @@ class CodecCostModel:
         self._layer_observations: Dict[Tuple[str, str], int] = {}
         self._tier_rates: Dict[str, float] = {}
         self._tier_observations: Dict[str, int] = {}
-        self._attach_rates: Dict[str, float] = {}
-        self._attach_observations: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Updates
@@ -136,29 +123,45 @@ class CodecCostModel:
         """
         if dense_bytes <= 0 or seconds < 0:
             return self.seconds_per_byte(codec, layer)
-        rate = seconds / dense_bytes
         with self._lock:
-            previous = self._rates.get(codec)
-            if previous is None:
-                updated = rate
+            return self._fold_locked(codec, seconds / dense_bytes, layer)
+
+    def observe_many(
+        self, observations: Iterable[Tuple[str, int, float, Optional[str]]]
+    ) -> None:
+        """Fold ``(codec, dense_bytes, seconds, layer)`` decodes in order
+        under one lock acquisition: the same EWMA state as one
+        :meth:`observe` per entry."""
+        with self._lock:
+            for codec, dense_bytes, seconds, layer in observations:
+                if dense_bytes > 0 and seconds >= 0:
+                    self._fold_locked(codec, seconds / dense_bytes, layer)
+
+    def _fold_locked(
+        self, codec: str, rate: float, layer: Optional[str]
+    ) -> float:
+        # Caller holds self._lock.
+        previous = self._rates.get(codec)
+        if previous is None:
+            updated = rate
+        else:
+            updated = self.alpha * rate + (1.0 - self.alpha) * previous
+        self._rates[codec] = updated
+        self._observations[codec] = self._observations.get(codec, 0) + 1
+        if layer is not None:
+            key = (codec, layer)
+            # The codec rate *before* this observation is the prior a
+            # fresh layer EWMA starts from.
+            prior = self._layer_rates.get(key, previous)
+            if prior is None:
+                layer_rate = rate
             else:
-                updated = self.alpha * rate + (1.0 - self.alpha) * previous
-            self._rates[codec] = updated
-            self._observations[codec] = self._observations.get(codec, 0) + 1
-            if layer is not None:
-                key = (codec, layer)
-                # The codec rate *before* this observation is the prior
-                # a fresh layer EWMA starts from.
-                prior = self._layer_rates.get(key, previous)
-                if prior is None:
-                    layer_rate = rate
-                else:
-                    layer_rate = self.alpha * rate + (1.0 - self.alpha) * prior
-                self._layer_rates[key] = layer_rate
-                self._layer_observations[key] = (
-                    self._layer_observations.get(key, 0) + 1
-                )
-            return updated
+                layer_rate = self.alpha * rate + (1.0 - self.alpha) * prior
+            self._layer_rates[key] = layer_rate
+            self._layer_observations[key] = (
+                self._layer_observations.get(key, 0) + 1
+            )
+        return updated
 
     def observe_tier_access(
         self, tier: str, dense_bytes: int, seconds: float
@@ -227,56 +230,6 @@ class CodecCostModel:
         with self._lock:
             return self._tier_observations.get(tier, 0)
 
-    # ------------------------------------------------------------------
-    # Per-backend attach rates (thread pool vs process pool)
-    # ------------------------------------------------------------------
-    def observe_attach(
-        self, backend: str, nbytes: int, seconds: float
-    ) -> float:
-        """Fold one measured worker attach into the backend's EWMA.
-
-        ``nbytes`` is the compressed payload footprint the worker
-        attached (the arena segment size for a process worker),
-        ``seconds`` the one-time cost of mapping + validating it.
-        This is the *capital* side of choosing a backend: a process
-        worker pays attach once to escape the GIL, a thread worker
-        pays nothing — :meth:`estimate_attach_seconds` lets sizing
-        logic amortize that against expected traffic.
-        """
-        if nbytes <= 0 or seconds < 0:
-            return self.attach_seconds_per_byte(backend)
-        rate = seconds / nbytes
-        with self._lock:
-            prior = self._attach_rates.get(
-                backend, DEFAULT_ATTACH_PRIORS.get(backend)
-            )
-            if prior is None:
-                updated = rate
-            else:
-                updated = self.alpha * rate + (1.0 - self.alpha) * prior
-            self._attach_rates[backend] = updated
-            self._attach_observations[backend] = (
-                self._attach_observations.get(backend, 0) + 1
-            )
-            return updated
-
-    def attach_seconds_per_byte(self, backend: str) -> float:
-        """Current attach rate of ``backend`` (its prior if unobserved).
-
-        Unknown backends are priced free — attach cost only exists
-        where a measurement or prior says it does.
-        """
-        with self._lock:
-            rate = self._attach_rates.get(backend)
-        if rate is not None:
-            return rate
-        return DEFAULT_ATTACH_PRIORS.get(backend, 0.0)
-
-    def estimate_attach_seconds(self, backend: str, nbytes: int) -> float:
-        """Estimated one-time seconds for a new ``backend`` worker to
-        attach ``nbytes`` of compressed payloads."""
-        return self.attach_seconds_per_byte(backend) * max(int(nbytes), 0)
-
     def clone(self) -> "CodecCostModel":
         """An independent copy with the same rates and counts.
 
@@ -297,8 +250,6 @@ class CodecCostModel:
             twin._layer_observations = dict(self._layer_observations)
             twin._tier_rates = dict(self._tier_rates)
             twin._tier_observations = dict(self._tier_observations)
-            twin._attach_rates = dict(self._attach_rates)
-            twin._attach_observations = dict(self._attach_observations)
         return twin
 
     def seed(
@@ -455,15 +406,6 @@ class CodecCostModel:
                         "observations": self._tier_observations.get(tier, 0),
                     }
                     for tier, rate in sorted(self._tier_rates.items())
-                },
-                "attach": {
-                    backend: {
-                        "seconds_per_byte": rate,
-                        "observations": self._attach_observations.get(
-                            backend, 0
-                        ),
-                    }
-                    for backend, rate in sorted(self._attach_rates.items())
                 },
             }
 

@@ -729,6 +729,9 @@ class InferenceEngine:
             rebuild=self.rebuild.stats, manifest=self.handle.manifest
         )
         out["batch_policy"] = self.policy.name
+        # Held next to the payload by this process's rebuild engine
+        # (each process worker prepares its own).
+        out["prepared_bytes"] = self.rebuild.prepared_bytes
         with self._lifecycle_lock:
             # One coherent snapshot: backend and pool must agree even
             # mid start()/stop().

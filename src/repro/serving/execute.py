@@ -5,8 +5,8 @@ and each process worker own one :class:`SkeletonPlan` — their own
 model skeleton plus its single compiled :class:`~repro.nn.plan.EvalPlan`
 — and run every batch through :func:`execute_batch`:
 
-1. **rebuild** — fetch every compressed layer from
-   :meth:`RebuildEngine.layer_weight`, in spec order (the order
+1. **rebuild** — fetch every compressed layer with one
+   :meth:`RebuildEngine.layer_weights` call, in spec order (the call
    :class:`~repro.serving.simulator.CacheSimulator` replays);
 2. **compute** — run the plan, in float32, with those read-only
    arrays: the plan casts each lowered layer's weight into its own
@@ -124,7 +124,7 @@ def execute_batch(
             else contextlib.nullcontext()
         )
         with active, attribution or contextlib.nullcontext():
-            weights = {name: rebuild.layer_weight(name) for name in plan.layers}
+            weights = dict(zip(plan.layers, rebuild.layer_weights(plan.layers)))
         installed = time.perf_counter()
         if tracer is not None:
             tracer.finish_span(rebuild_span, end_s=installed)

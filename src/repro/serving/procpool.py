@@ -125,8 +125,6 @@ class WorkerHello:
 
     index: int
     pid: int
-    attach_seconds: float = 0.0
-    arena_bytes: int = 0
     error: Optional[str] = None
 
 
@@ -201,9 +199,7 @@ def _worker_main(spec: WorkerSpec, index: int, conn) -> None:
     payloads = None
     rebuild = None
     try:
-        attach_start = time.perf_counter()
         payloads = SharedPayloadArena.attach(spec.manifest)
-        attach_seconds = time.perf_counter() - attach_start
         cost_model = CodecCostModel(
             alpha=spec.cost_alpha,
             default_seconds_per_byte=spec.default_seconds_per_byte,
@@ -231,14 +227,7 @@ def _worker_main(spec: WorkerSpec, index: int, conn) -> None:
         )
         spec.model.eval()
         skeleton = SkeletonPlan(spec.model, spec.specs)
-        conn.send(
-            WorkerHello(
-                index=index,
-                pid=os.getpid(),
-                attach_seconds=attach_seconds,
-                arena_bytes=spec.manifest.nbytes,
-            )
-        )
+        conn.send(WorkerHello(index=index, pid=os.getpid()))
     except BaseException as error:
         try:
             conn.send(
@@ -567,9 +556,6 @@ class ProcessPool:
             return False
         slot.ready = True
         slot.pid = hello.pid
-        engine.cost_model.observe_attach(
-            "process", hello.arena_bytes, hello.attach_seconds
-        )
         return True
 
     def _crash(

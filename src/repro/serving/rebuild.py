@@ -46,7 +46,7 @@ from typing import (
 
 import numpy as np
 
-from repro.codecs import LayerPayload, get_codec
+from repro.codecs import LayerPayload, PreparedPayload, get_codec
 from repro.costs import CodecCostModel
 from repro.observability import NULL_OBSERVABILITY, MetricsRegistry
 from repro.serving.artifacts import LayerArtifactSpec
@@ -581,6 +581,15 @@ class RebuildEngine:
         # never run under this lock.
         self._lock = threading.Lock()
         self._inflight: Dict[str, "_InFlightRebuild"] = {}
+        # Per layer: its codec, its prepared payload (see
+        # :class:`~repro.codecs.PreparedPayload`; None when the codec
+        # prepares nothing) and its shape.  Built on the layer's first
+        # miss by the thread that owns it, and kept for the engine's
+        # lifetime: payloads never change.  Written outside the lock;
+        # the in-flight table makes each layer's writer unique.
+        self._decoders: Dict[
+            str, Tuple[object, Optional[PreparedPayload], Tuple[int, ...]]
+        ] = {}
         from repro.serving.tiers import make_tiers  # circular at module load
 
         self.tiers = make_tiers(
@@ -619,6 +628,18 @@ class RebuildEngine:
         manifest's ``dense_bytes`` counts the FP32 checkpoint instead).
         """
         return self._total_dense_bytes
+
+    @property
+    def prepared_bytes(self) -> int:
+        """Bytes of the prepared payloads held: index and table arrays
+        each rebuild reads instead of re-deriving them from the
+        payload (next to the bundle's ``payload_bytes``)."""
+        decoders = list(self._decoders.values())
+        return sum(
+            prepared.nbytes
+            for _, prepared, _ in decoders
+            if prepared is not None
+        )
 
     @property
     def bytes_saved(self) -> int:
@@ -685,155 +706,296 @@ class RebuildEngine:
 
     # ------------------------------------------------------------------
     def layer_weight(self, name: str) -> np.ndarray:
-        """The dense weight for ``name`` (cached or rebuilt).
+        """The dense weight for ``name``: a one-name :meth:`layer_weights`."""
+        return self.layer_weights((name,))[0]
 
-        The returned array is the cache's copy and is marked read-only;
+    def layer_weights(self, names: Sequence[str]) -> List[np.ndarray]:
+        """The dense weights for ``names``, in order, cached or rebuilt.
+
+        Each returned array is the cache's copy and is marked read-only;
         serving binds it by reference into an eval plan
-        (:func:`~repro.serving.execute.execute_batch`).
+        (:func:`~repro.serving.execute.execute_batch` fetches a batch's
+        layers in spec order with one call).
 
-        Safe for concurrent callers: hits return immediately, and only
-        one thread rebuilds a cold layer at a time — the rest wait on
-        the in-flight rebuild and share its result (counted as hits,
-        since they paid no rebuild compute).  If a rebuild fails, its
-        waiters retry, so each caller raises its own exception.
+        The cache ends in the state one :meth:`layer_weight` per name
+        would leave, but the bookkeeping is batched: one engine-lock
+        acquisition serves the hits and claims the misses, the misses
+        decode outside the lock, one more acquisition publishes them,
+        and each counter and the cost model take one update per call.
+        Where publishing a miss could change what a later name in the
+        same call sees (an admission that may evict or demote, or the
+        same name again), the call works in rounds that end at that
+        miss.
 
-        With observability enabled, each call emits a ``rebuild.layer``
+        Safe for concurrent callers: only one thread rebuilds a cold
+        layer at a time — the rest wait on its in-flight rebuild and
+        share its result (counted as hits, since they paid no rebuild
+        compute).  A call decodes and releases every layer it owns
+        before it waits on a layer another call owns, so two calls
+        fetching overlapping layers in opposite orders cannot deadlock.
+        If a rebuild fails, its waiters retry, so each caller raises
+        its own exception.
+
+        With observability enabled, each name emits a ``rebuild.layer``
         span — nested under whatever span the calling thread has active
         (the engine's per-batch ``rebuild`` phase) — tagged with the
-        layer, codec, hit/miss, dense bytes, and admission verdict.
+        layer, codec, hit/miss, serving tier, dense bytes, and (for a
+        miss) rebuild seconds and admission verdict.  A span lasts the
+        time its own layer took: its share of the lock passes plus its
+        decode or wait, so the spans of one call add up to about the
+        call's own time.
         """
-        obs = self.observability
-        if not obs.enabled:
-            return self._layer_weight(name, None)
-        info: Dict = {}
-        span = obs.tracer.start_span(
-            "rebuild.layer",
-            tags={"layer": name, "codec": self._layer_codec.get(name, "?")},
-        )
+        for name in names:
+            if name not in self._specs:
+                raise KeyError(f"unknown layer {name!r}")
+        weights: List[Optional[np.ndarray]] = [None] * len(names)
+        trace: Optional[List] = [] if self.observability.enabled else None
+        pending = list(range(len(names)))
         try:
-            with obs.tracer.activate(span):
-                weight = self._layer_weight(name, info)
-        except BaseException as exc:
-            obs.tracer.finish_span(span, error=type(exc).__name__, **info)
-            raise
-        obs.tracer.finish_span(span, **info)
-        return weight
+            while pending:
+                pending = self._fetch_round(names, pending, weights, trace)
+        finally:
+            if trace is not None:
+                self._emit_layer_spans(names, trace)
+        return weights
 
-    def _layer_weight(self, name: str, info: Optional[Dict]) -> np.ndarray:
-        """The uninstrumented implementation; ``info`` (when given) is
-        filled with hit/miss, serving tier, dense bytes, and the
-        admission verdict."""
-        if name not in self._specs:
-            raise KeyError(f"unknown layer {name!r}")
-        claimed = None  # (tier, entry) faulted from a lower tier
-        while True:
-            with self._lock:
+    def _fetch_round(
+        self,
+        names: Sequence[str],
+        pending: List[int],
+        weights: List[Optional[np.ndarray]],
+        trace: Optional[List],
+    ) -> List[int]:
+        """Serve a prefix of the ``pending`` positions of ``names`` into
+        ``weights``; returns the positions still to serve.
+
+        ``trace`` (when given) collects ``(position, start_s, seconds,
+        tags)`` per served position for :meth:`_emit_layer_spans`; a
+        position's seconds are its share of the two lock passes plus
+        its own decode or wait.
+        """
+        traced = trace is not None
+        start = time.perf_counter() if traced else 0.0
+        taken, hits, owned, foreign = self._claim_round(names, pending, weights)
+        share = (time.perf_counter() - start) / taken if traced else 0.0
+        failure: Optional[BaseException] = None
+        observed = []
+        try:
+            for claim in owned:
+                if traced:
+                    claim.started = time.perf_counter()
+                try:
+                    if claim.tier is None:
+                        claim.weight, claim.seconds = self._rebuild(claim.name)
+                    else:
+                        self._fault(claim)
+                except Exception as error:
+                    claim.error = error
+                    failure = failure or error
+                else:
+                    weights[claim.position] = claim.weight
+                    if claim.source == "rebuild":
+                        observed.append((
+                            self._layer_codec[claim.name],
+                            claim.weight.nbytes,
+                            claim.seconds,
+                            claim.name,
+                        ))
+                if traced:
+                    claim.finished = time.perf_counter()
+            if observed:
+                self.cost_model.observe_many(observed)
+        finally:
+            published = time.perf_counter() if traced else 0.0
+            self._publish(owned)
+        if traced:
+            publish_share = (time.perf_counter() - published) / max(len(owned), 1)
+            for position in hits:
+                trace.append((position, start, share, {
+                    "hit": True,
+                    "tier": "dense-ram",
+                    "dense_bytes": weights[position].nbytes,
+                }))
+            for claim in owned:
+                seconds = claim.finished - claim.started + share + publish_share
+                trace.append((claim.position, claim.started, seconds, claim.tags()))
+        if failure is not None:
+            raise failure
+        if foreign:
+            retry = self._wait_foreign(foreign, weights, trace, share)
+            return retry + pending[taken:]
+        return pending[taken:]
+
+    def _claim_round(
+        self,
+        names: Sequence[str],
+        pending: List[int],
+        weights: List[Optional[np.ndarray]],
+    ) -> "tuple[int, List[int], List[_Claim], List[Tuple]]":
+        """Under one lock pass over ``pending``: serve and count the
+        hits, claim and count the misses, and note the rebuilds other
+        calls own.  Returns ``(positions taken, hit positions, owned
+        claims, (position, name, flight) of foreign rebuilds)``.
+
+        The pass stops after a claimed miss whose admission could move
+        another layer, and before a second position of a layer it
+        claimed: the next round then sees the miss published.
+        """
+        # With an unbounded cache an admission never evicts, and with
+        # no dense cache and no tiers a rebuild is dropped: either way
+        # publishing a miss leaves every other layer where it was.
+        isolated = self.capacity_bytes is None or (
+            self.capacity_bytes == 0 and not self.tiers
+        )
+        stats = self.stats
+        hits: List[int] = []
+        owned: List[_Claim] = []
+        foreign: List[Tuple[int, str, _InFlightRebuild]] = []
+        taken = 0
+        saved = 0.0
+        with self._lock:
+            for position in pending:
+                name = names[position]
                 cached = self._cache.get(name)
                 if cached is not None:
-                    self.stats._hits.inc()
-                    self.stats.record_access(name, hit=True)
-                    saved = self._estimate_seconds(name)
-                    self.stats._est_seconds_saved.inc(saved)
-                    if self.ledger is not None:
-                        self.ledger.credit_saved(saved)
+                    stats.record_access(name, hit=True)
+                    saved += self._estimate_seconds(name)
                     self._cache.move_to_end(name)
-                    if info is not None:
-                        info["hit"] = True
-                        info["tier"] = "dense-ram"
-                        info["dense_bytes"] = cached.nbytes
-                    return cached
+                    weights[position] = cached
+                    hits.append(position)
+                    taken += 1
+                    continue
                 flight = self._inflight.get(name)
-                if flight is None:
-                    flight = self._inflight[name] = _InFlightRebuild()
-                    self.stats._misses.inc()
-                    self.stats.record_access(name, hit=False)
-                    # This thread owns the miss: claim the layer's blob
-                    # from the closest lower tier (popped under the
-                    # lock, so nobody else can reach it) and inflate it
-                    # outside the lock.
-                    for tier in self.tiers:
-                        entry = tier.claim(name)
-                        if entry is not None:
-                            claimed = (tier, entry)
-                            break
+                if flight is not None:
+                    if any(claim.name == name for claim in owned):
+                        break
+                    foreign.append((position, name, flight))
+                    taken += 1
+                    continue
+                flight = self._inflight[name] = _InFlightRebuild()
+                stats.record_access(name, hit=False)
+                tier = self._claim_tier(name) if self.tiers else None
+                owned.append(_Claim(position, name, flight, tier))
+                taken += 1
+                if not isolated:
                     break
-            flight.wait()
-            if flight.weight is not None:
-                with self._lock:
-                    self.stats._hits.inc()
-                    self.stats.record_access(name, hit=True)
-                    saved = self._estimate_seconds(name)
-                    self.stats._est_seconds_saved.inc(saved)
-                    if self.ledger is not None:
-                        self.ledger.credit_saved(saved)
-                if info is not None:
-                    # Shared an in-flight rebuild: a hit (no compute
-                    # paid here), flagged so traces can tell it apart.
-                    info["hit"] = True
-                    info["inflight_wait"] = True
-                    info["tier"] = "dense-ram"
-                    info["dense_bytes"] = flight.weight.nbytes
-                return flight.weight
-            # The in-flight rebuild failed; loop and rebuild ourselves.
-        weight = None
-        source = "rebuild"
-        if claimed is not None:
-            tier, entry = claimed
-            weight, seconds = self._tier_load(tier, entry)
-            if weight is None:
-                # Corrupt/unreadable blob: a miss, not an error — fall
-                # through to the full rebuild.
-                with self._lock:
-                    self.stats.record_tier(tier.name, "corrupt")
-            else:
-                source = tier.name
-                self.cost_model.observe_tier_access(
-                    tier.name, weight.nbytes, seconds
-                )
+            if hits:
+                self._count_hits(len(hits), saved)
+            if owned:
+                stats._misses.inc(len(owned))
+        return taken, hits, owned, foreign
+
+    def _count_hits(self, count: int, saved: float) -> None:
+        # Caller holds self._lock.
+        self.stats._hits.inc(count)
+        self.stats._est_seconds_saved.inc(saved)
+        if self.ledger is not None:
+            self.ledger.credit_saved(saved)
+
+    def _claim_tier(self, name: str):
+        """Pop ``name``'s blob from the closest lower tier holding it:
+        ``(tier, entry)``, or None.  Caller holds self._lock and owns
+        the layer's miss, so nobody else can reach the blob."""
+        for tier in self.tiers:
+            entry = tier.claim(name)
+            if entry is not None:
+                return tier, entry
+        return None
+
+    def _fault(self, claim: "_Claim") -> None:
+        """Fill ``claim`` from its claimed tier blob, or from a full
+        rebuild if the blob is unreadable (no locking)."""
+        tier, entry = claim.tier
+        weight, seconds = self._tier_load(tier, entry)
         if weight is None:
-            try:
-                weight, seconds = self._rebuild(name)
-            except BaseException:
-                with self._lock:
-                    self._inflight.pop(name, None)
-                flight.release()
-                raise
-            self.cost_model.observe(
-                self._layer_codec[name], weight.nbytes, seconds, layer=name
-            )
-        flight.weight = weight  # published before release()
+            # Corrupt/unreadable blob: a miss, not an error.
+            claim.corrupt = tier.name
+            claim.weight, claim.seconds = self._rebuild(claim.name)
+            return
+        self.cost_model.observe_tier_access(tier.name, weight.nbytes, seconds)
+        claim.weight, claim.seconds, claim.source = weight, seconds, tier.name
+
+    def _publish(self, owned: List["_Claim"]) -> None:
+        """Book, admit and release every claim of a round.  A claim
+        without a weight (its load failed) only gives up its in-flight
+        slot, so its waiters retry."""
+        if not owned:
+            return
+        rebuilt = rebuilt_bytes = 0
+        rebuild_seconds = 0.0
         with self._lock:
-            if source == "rebuild":
-                self.stats._rebuilds.inc()
-                self.stats._rebuilt_bytes.inc(weight.nbytes)
-                self.stats._rebuild_seconds.inc(seconds)
+            for claim in owned:
+                name, weight, source = claim.name, claim.weight, claim.source
+                if claim.corrupt is not None:
+                    self.stats.record_tier(claim.corrupt, "corrupt")
+                self._inflight.pop(name, None)
+                if weight is None:
+                    continue
+                if source == "rebuild":
+                    rebuilt += 1
+                    rebuilt_bytes += weight.nbytes
+                    rebuild_seconds += claim.seconds
+                else:
+                    # Faulting from a tier paid `seconds` instead of a
+                    # full rebuild: count the fault, credit the rest.
+                    self.stats.record_tier(source, "hits")
+                    self.stats.record_tier(source, "fault_seconds", claim.seconds)
+                    fault_saved = max(
+                        0.0, self._estimate_seconds(name) - claim.seconds
+                    )
+                    self.stats._est_seconds_saved.inc(fault_saved)
+                    if self.ledger is not None:
+                        self.ledger.credit_saved(fault_saved)
+                claim.flight.weight = weight  # published before release()
+                claim.verdict = self._admit(name, weight)
+                if source != "rebuild" and claim.verdict == "admitted":
+                    self.stats.record_tier(source, "promotions")
+            if rebuilt:
+                self.stats._rebuilds.inc(rebuilt)
+                self.stats._rebuilt_bytes.inc(rebuilt_bytes)
+                self.stats._rebuild_seconds.inc(rebuild_seconds)
                 if self.ledger is not None:
-                    # Same event, same seconds: the tenant split of the
-                    # fleet counter, so the two totals reconcile.
-                    self.ledger.charge_rebuild(seconds)
-            else:
-                # Faulting from a tier paid `seconds` instead of a full
-                # rebuild: count the fault and credit the difference.
-                self.stats.record_tier(source, "hits")
-                self.stats.record_tier(source, "fault_seconds", seconds)
-                fault_saved = max(
-                    0.0, self._estimate_seconds(name) - seconds
-                )
-                self.stats._est_seconds_saved.inc(fault_saved)
-                if self.ledger is not None:
-                    self.ledger.credit_saved(fault_saved)
-            verdict = self._admit(name, weight)
-            if source != "rebuild" and verdict == "admitted":
-                self.stats.record_tier(source, "promotions")
-            self._inflight.pop(name, None)
-        flight.release()
-        if info is not None:
-            info["hit"] = False
-            info["tier"] = source
-            info["dense_bytes"] = weight.nbytes
-            info["rebuild_seconds"] = seconds
-            info["admission"] = verdict
-        return weight
+                    # Same events, same seconds: the tenant split of
+                    # the fleet counter, so the two totals reconcile.
+                    self.ledger.charge_rebuild(rebuild_seconds)
+        for claim in owned:
+            claim.flight.release()
+
+    def _wait_foreign(
+        self,
+        foreign: List[Tuple[int, str, "_InFlightRebuild"]],
+        weights: List[Optional[np.ndarray]],
+        trace: Optional[List],
+        share: float,
+    ) -> List[int]:
+        """Wait on rebuilds other calls own; returns the positions whose
+        rebuild failed (to claim again)."""
+        retry: List[int] = []
+        shared: List[Tuple[int, str, float, float]] = []
+        for position, name, flight in foreign:
+            waited = time.perf_counter()
+            flight.wait()
+            if flight.weight is None:
+                retry.append(position)
+                continue
+            weights[position] = flight.weight
+            shared.append((position, name, waited, time.perf_counter() - waited))
+        if shared:
+            with self._lock:
+                saved = 0.0
+                for _, name, _, _ in shared:
+                    self.stats.record_access(name, hit=True)
+                    saved += self._estimate_seconds(name)
+                self._count_hits(len(shared), saved)
+        if trace is not None:
+            for position, _, waited, seconds in shared:
+                # Shared an in-flight rebuild: a hit (no compute paid
+                # here), flagged so traces can tell it apart.
+                trace.append((position, waited, seconds + share, {
+                    "hit": True, "inflight_wait": True, "tier": "dense-ram",
+                    "dense_bytes": weights[position].nbytes,
+                }))
+        return retry
 
     def _tier_load(self, tier, entry) -> "tuple[Optional[np.ndarray], float]":
         """Inflate one claimed tier entry (no locking): (weight, seconds).
@@ -846,12 +1008,44 @@ class RebuildEngine:
         return weight, time.perf_counter() - start
 
     def _rebuild(self, name: str) -> "tuple[np.ndarray, float]":
-        """Decode one layer (no locking, no stats): (weight, seconds)."""
+        """Decode one layer (no locking, no stats): (weight, seconds).
+
+        The caller owns the layer's miss, so on the layer's first miss
+        it alone resolves the codec and builds the prepared payload.
+        """
         start = time.perf_counter()
-        weight = rebuild_layer_weight(self._payloads[name], self._specs[name])
+        payload = self._payloads[name]
+        decoder = self._decoders.get(name)
+        if decoder is None:
+            codec = get_codec(payload.codec)
+            prepare = getattr(codec, "prepare", None)
+            decoder = self._decoders[name] = (
+                codec,
+                None if prepare is None else prepare(payload),
+                tuple(self._specs[name].weight_shape),
+            )
+        codec, prepared, shape = decoder
+        if prepared is None:
+            weight = codec.decode(payload)
+        else:
+            weight = codec.decode(payload, prepared)
+        if weight.shape != shape:
+            weight = weight.reshape(shape)
         seconds = time.perf_counter() - start
         weight.setflags(write=False)
         return weight, seconds
+
+    def _emit_layer_spans(self, names: Sequence[str], trace: List) -> None:
+        """One ``rebuild.layer`` span per served position, in order."""
+        tracer = self.observability.tracer
+        for position, start, seconds, tags in sorted(trace, key=lambda t: t[0]):
+            name = names[position]
+            tracer.emit(
+                "rebuild.layer",
+                start,
+                start + seconds,
+                tags={"layer": name, "codec": self._layer_codec[name], **tags},
+            )
 
     def _view(self, name: str, nbytes: int) -> CacheEntryView:
         # Caller holds self._lock.
@@ -1019,8 +1213,7 @@ class RebuildEngine:
     # ------------------------------------------------------------------
     def warm(self) -> None:
         """Touch every layer once (fills the cache up to capacity)."""
-        for name in self._specs:
-            self.layer_weight(name)
+        self.layer_weights(list(self._specs))
 
     def clear(self) -> None:
         with self._lock:
@@ -1063,6 +1256,39 @@ class RebuildEngine:
         """
         with self._lock:
             self.stats.reset()
+
+
+class _Claim:
+    """One miss a :meth:`RebuildEngine.layer_weights` call owns: where
+    it sits in the call, its in-flight latch and claimed tier blob,
+    then what loading it produced (a full rebuild unless ``source``
+    names the tier it faulted from)."""
+
+    weight: Optional[np.ndarray] = None
+    seconds = 0.0
+    source = "rebuild"
+    corrupt: Optional[str] = None
+    verdict: Optional[str] = None
+    error: Optional[BaseException] = None
+    started = finished = 0.0
+
+    def __init__(self, position: int, name: str, flight, tier) -> None:
+        self.position = position
+        self.name = name
+        self.flight = flight
+        self.tier = tier
+
+    def tags(self) -> Dict:
+        """The ``rebuild.layer`` span tags of this miss."""
+        if self.weight is None:
+            return {"error": type(self.error).__name__}
+        return {
+            "hit": False,
+            "tier": self.source,
+            "dense_bytes": self.weight.nbytes,
+            "rebuild_seconds": self.seconds,
+            "admission": self.verdict,
+        }
 
 
 class _InFlightRebuild:

@@ -240,20 +240,19 @@ class CacheSimulator:
         if model is not None:
             rows = [row for row in rows if row.model == model]
         ledger = self.ledger
+        layers = self.engine.layer_names
         for batch in _group_batches(rows):
-            # One fetch pass per executed batch, spec order — exactly
-            # the order `execute_batch` fetches layers in.
+            # One fetch per executed batch, spec order — exactly the
+            # call `execute_batch` makes.
             if ledger is not None:
                 shares = ledger.shares([row.tenant for row in batch])
                 with ledger.activate(shares):
-                    for layer in self.engine.layer_names:
-                        self.engine.layer_weight(layer)
+                    self.engine.layer_weights(layers)
                 for row in batch:
                     ledger.record_submitted(row.tenant)
                     ledger.record_served(row.tenant)
             else:
-                for layer in self.engine.layer_names:
-                    self.engine.layer_weight(layer)
+                self.engine.layer_weights(layers)
             self._requests += len(batch)
             self._batches += 1
         return self.report()

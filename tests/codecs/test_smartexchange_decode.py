@@ -25,7 +25,7 @@ from repro.codecs import (
     get_codec,
     payload_matrix_count,
 )
-from repro.codecs.smartexchange import _code_table, plan_to_json
+from repro.codecs.smartexchange import plan_to_json
 from repro.core import SmartExchangeConfig
 from repro.core.decompose import Decomposition, DecompositionHistory
 from repro.core.layer_transform import compress_conv_weight, compress_fc_weight
@@ -202,15 +202,23 @@ class TestStackedDecodeParity:
 
 class TestCodeTableCache:
     def test_cached_table_is_read_only(self):
+        # The table lives in the payload's prepared state, which every
+        # decode of the layer shares: it must not be writable, and
+        # reusing it must give the fresh decode's bits.
         rng = np.random.default_rng(12)
         images, plan = random_layer(rng, "fc", (4, 9), 3, 2, 0.0)
-        payload = SmartExchangeCodec().payload_from_matrices(images, "fc", plan)
-        SmartExchangeCodec().decode(payload)
-        table = _code_table(tuple(payload.meta["p_min"]))
-        assert table is _code_table(tuple(payload.meta["p_min"]))
+        codec = SmartExchangeCodec()
+        payload = codec.payload_from_matrices(images, "fc", plan)
+        prepared = codec.prepare(payload)
+        table = prepared.arrays["table"]
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[1] = 0.0
+        expected = bits(codec.decode(payload))
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                bits(codec.decode(payload, prepared)), expected
+            )
 
     def test_interleaved_anchors_decode_their_own_bits(self):
         # Same plan and shape, different ΩP anchors: a table served

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.nn.tensor import Tensor
+
+# CI runs with HYPOTHESIS_PROFILE=ci: a failing property or state
+# machine then prints the blob that reproduces it with
+# ``@reproduce_failure``.  The profile only adds output; every other
+# setting is hypothesis's default or the test's own.
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -136,6 +136,20 @@ class TestCodecCostModel:
         # The codec-level EWMA absorbed the observation too.
         assert model.seconds_per_byte("c") == pytest.approx(4e-6)
 
+    def test_observe_many_leaves_the_state_of_one_observe_each(self):
+        observations = [
+            ("c", 100, 100 * 2e-6, "a"),
+            ("c", 100, 100 * 6e-6, "b"),
+            ("d", 50, 50 * 1e-6, None),
+            ("c", 0, 1.0, "a"),  # degenerate: ignored by both
+            ("c", 200, 200 * 3e-6, "a"),
+        ]
+        one_by_one, folded = CodecCostModel(), CodecCostModel()
+        for entry in observations:
+            one_by_one.observe(*entry)
+        folded.observe_many(observations)
+        assert folded.as_dict() == one_by_one.as_dict()
+
     def test_per_layer_rates_diverge_from_codec_prior(self):
         """Two layers of one codec with different decode behavior end
         up with different rates — the codec rate is only the prior."""

@@ -7,8 +7,8 @@ every admission policy — asserting the counters stay consistent
 and every returned weight is bit-identical to a fresh decode.
 
 A hypothesis state machine drives the same zoo one call at a time
-through ``layer_weight``, ``clear`` and ``reset_stats`` under every
-policy, with and without a compressed tier, at capacities 0, half the
+through ``layer_weight``, ``layer_weights`` (a random list of layers,
+repeats allowed), ``clear`` and ``reset_stats`` under every policy, with and without a compressed tier, at capacities 0, half the
 dense bytes and unbounded, and checks the cache invariants after every
 step.
 """
@@ -167,6 +167,25 @@ class CacheInvariants(RuleBasedStateMachine):
         np.testing.assert_array_equal(
             weight.view(np.uint64), fresh.view(np.uint64)
         )
+
+    @rule(
+        names=st.lists(
+            st.sampled_from([name for name, _, _ in LAYERS]),
+            min_size=1,
+            max_size=2 * len(LAYERS),
+        )
+    )
+    def layer_weights(self, names):
+        weights = self.engine.layer_weights(names)
+        assert len(weights) == len(names)
+        self.accesses += len(names)
+        for name, weight in zip(names, weights):
+            payload = self.payloads[name]
+            fresh = get_codec(payload.codec).decode(payload)
+            assert weight.dtype == fresh.dtype
+            np.testing.assert_array_equal(
+                weight.view(np.uint64), fresh.view(np.uint64)
+            )
 
     @rule()
     def clear(self):

@@ -354,9 +354,7 @@ class TestWireFormat:
         assert str(clone.error) == "bad batch"
 
     def test_worker_hello_round_trips(self):
-        hello = WorkerHello(
-            index=2, pid=4242, attach_seconds=0.003, arena_bytes=1 << 16
-        )
+        hello = WorkerHello(index=2, pid=4242)
         assert pickle.loads(pickle.dumps(hello)) == hello
 
     def test_worker_spec_round_trips(self, handle):
